@@ -18,7 +18,12 @@
    a replayed repeat must be >= 10x faster than its cold release, every
    repeat must come back [cached] with zero spend, and a simulated restart
    (fresh server, different RNG seed, same journals) must replay previously
-   released answers byte-identically without charging another epsilon. *)
+   released answers byte-identically without charging another epsilon.
+
+   The ledger section measures history independence: Ledger.spend on an
+   analyst with N prior spends against one with none, and journal replay
+   (Ledger.open_) per line at N spends against N/10. Both ratios should
+   read about 1; CI gates them through check_regress. *)
 
 module Rng = Flex_dp.Rng
 module Ledger = Flex_dp.Ledger
@@ -352,6 +357,71 @@ let restart_gate fixture =
   Sys.remove ledger_path;
   Sys.remove store_path
 
+(* ------------------------------------------------------------- ledger *)
+
+let time_ns f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  (Unix.gettimeofday () -. t0) *. 1e9
+
+let spend ledger analyst =
+  match Ledger.spend ledger ~analyst ~epsilon:0.125 ~delta:1e-9 ~label:"bench" with
+  | Ok _ -> ()
+  | Error e -> Fmt.failwith "ledger bench: %s" (Ledger.error_to_string e)
+
+let register ledger analyst =
+  match Ledger.register ledger ~analyst ~epsilon:1e9 ~delta:0.5 with
+  | Ok () -> ()
+  | Error e -> Fmt.failwith "ledger bench: %s" (Ledger.error_to_string e)
+
+(* Median ns per Ledger.spend on an in-memory ledger, over [rounds] batches
+   of [batch] spends: on one analyst with at least [n] prior spends, and on
+   a fresh analyst per batch. The two are interleaved so both see the same
+   machine. *)
+let bench_spend_history ~n ~rounds ~batch =
+  let ledger = Ledger.in_memory () in
+  register ledger "history";
+  for _ = 1 to n do
+    spend ledger "history"
+  done;
+  let per_spend analyst =
+    time_ns (fun () ->
+        for _ = 1 to batch do
+          spend ledger analyst
+        done)
+    /. float_of_int batch
+  in
+  let samples =
+    List.init rounds (fun r ->
+        let history = per_spend "history" in
+        let fresh = Fmt.str "fresh-%d" r in
+        register ledger fresh;
+        (history, per_spend fresh))
+  in
+  (median (List.map fst samples), median (List.map snd samples))
+
+(* Median ns per journal line to replay a journal of one registration and
+   [spends] spends with Ledger.open_. *)
+let bench_replay_per_line ~spends ~rounds =
+  let path = Filename.temp_file "flex_service_bench" ".ledger" in
+  let ledger = Ledger.open_ path in
+  register ledger "a";
+  for _ = 1 to spends do
+    spend ledger "a"
+  done;
+  Ledger.close ledger;
+  let ns =
+    median
+      (List.init rounds (fun _ ->
+           time_ns (fun () ->
+               let l = Ledger.open_ path in
+               if Ledger.spends l ~analyst:"a" <> spends then
+                 Fmt.failwith "ledger bench: replay lost spends";
+               Ledger.close l)))
+  in
+  Sys.remove path;
+  ns /. float_of_int (spends + 1)
+
 (* ------------------------------------------------------------------ JSON *)
 
 let json_of_stages s =
@@ -419,6 +489,17 @@ let () =
     rqueries (rwall_ns /. 1e6) warm_replay_qps replay_hit_rate;
   restart_gate fixture;
   Fmt.pr "  restart gate: byte-identical replays, zero additional spend@.";
+  let ledger_n = if !smoke then 2_000 else 10_000 in
+  let history_ns, fresh_ns = bench_spend_history ~n:ledger_n ~rounds:21 ~batch:50 in
+  let spend_history_ratio = history_ns /. fresh_ns in
+  let replay_n_ns = bench_replay_per_line ~spends:ledger_n ~rounds:5 in
+  let replay_tenth_ns = bench_replay_per_line ~spends:(ledger_n / 10) ~rounds:5 in
+  let replay_scaling_ratio = replay_n_ns /. replay_tenth_ns in
+  Fmt.pr
+    "  ledger: spend %.0f ns after %d spends vs %.0f ns fresh (%.2fx); replay %.0f vs \
+     %.0f ns/line at %d vs %d spends (%.2fx)@."
+    history_ns ledger_n fresh_ns spend_history_ratio replay_n_ns replay_tenth_ns ledger_n
+    (ledger_n / 10) replay_scaling_ratio;
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"flex-service\",\n  \"unit\": \"ns/stage\",\n";
   Buffer.add_string b (Fmt.str "  \"smoke\": %b,\n  \"shapes\": [\n" !smoke);
@@ -440,8 +521,15 @@ let () =
     (Fmt.str
        "  \"replay\": {\"cold_ns\": %.0f, \"replay_ns\": %.0f, \
         \"replay_speedup\": %.1f, \"warm_replay_qps\": %.0f, \
-        \"replay_hit_rate\": %.3f, \"restart_conservation\": true}\n"
+        \"replay_hit_rate\": %.3f, \"restart_conservation\": true},\n"
        cold_ns replay_ns replay_speedup warm_replay_qps replay_hit_rate);
+  Buffer.add_string b
+    (Fmt.str
+       "  \"ledger\": {\"n\": %d, \"spend_ns_history\": %.0f, \"spend_ns_fresh\": %.0f, \
+        \"spend_history_ratio\": %.3f, \"replay_ns_per_line_n\": %.0f, \
+        \"replay_ns_per_line_tenth\": %.0f, \"replay_scaling_ratio\": %.3f}\n"
+       ledger_n history_ns fresh_ns spend_history_ratio replay_n_ns replay_tenth_ns
+       replay_scaling_ratio);
   Buffer.add_string b "}\n";
   let json = Buffer.contents b in
   (match Json.of_string json with

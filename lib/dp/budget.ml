@@ -4,10 +4,17 @@
 
 type charge = { epsilon : float; delta : float; label : string }
 
+(* Both compositions need only these running totals, so no charge is kept.
+   The sums accumulate in charge order: a ledger replaying its journal adds
+   the same floats in the same order as the live process did, so the totals
+   are bit-identical between the two. *)
 type t = {
   epsilon_limit : float;
   delta_limit : float;
-  mutable spent : charge list; (* newest first *)
+  mutable count : int;
+  mutable epsilon_sum : float;
+  mutable delta_sum : float;
+  mutable epsilon_max : float;
 }
 
 exception Exhausted of { requested : charge; remaining_epsilon : float; remaining_delta : float }
@@ -32,60 +39,65 @@ let check ~epsilon ~delta =
 let create_checked ~epsilon ~delta =
   match check ~epsilon ~delta with
   | Error e -> Error e
-  | Ok () -> Ok { epsilon_limit = epsilon; delta_limit = delta; spent = [] }
+  | Ok () ->
+    Ok
+      {
+        epsilon_limit = epsilon;
+        delta_limit = delta;
+        count = 0;
+        epsilon_sum = 0.0;
+        delta_sum = 0.0;
+        epsilon_max = 0.0;
+      }
 
 let create ~epsilon ~delta =
   match create_checked ~epsilon ~delta with
   | Ok t -> t
   | Error e -> raise (Invalid_budget e)
 
-let charges t = List.rev t.spent
-
-let basic_cost charges =
-  List.fold_left
-    (fun (e, d) c -> (e +. c.epsilon, d +. c.delta))
-    (0.0, 0.0) charges
+let spends t = t.count
+let spent_basic t = (t.epsilon_sum, t.delta_sum)
 
 (* Strong composition (DRV'10): k mechanisms, each (e, d)-DP, compose to
    (e', k*d + delta_slack)-DP with
      e' = e * sqrt(2k ln(1/delta_slack)) + k * e * (exp(e) - 1).
-   Heterogeneous charges are handled conservatively by using the max epsilon. *)
-let strong_cost ?(delta_slack = 1e-9) charges =
-  match charges with
-  | [] -> (0.0, 0.0)
-  | _ ->
-    let k = float_of_int (List.length charges) in
-    let emax = List.fold_left (fun acc c -> Float.max acc c.epsilon) 0.0 charges in
-    let dsum = List.fold_left (fun acc c -> acc +. c.delta) 0.0 charges in
+   Heterogeneous charges are handled conservatively by using the max epsilon
+   and the summed deltas. *)
+let spent_strong ?(delta_slack = 1e-9) t =
+  if t.count = 0 then (0.0, 0.0)
+  else
+    let k = float_of_int t.count and emax = t.epsilon_max in
     let e' =
       (emax *. sqrt (2.0 *. k *. log (1.0 /. delta_slack)))
       +. (k *. emax *. (exp emax -. 1.0))
     in
-    (e', dsum +. delta_slack)
-
-let spent_basic t = basic_cost t.spent
-let spent_strong ?delta_slack t = strong_cost ?delta_slack t.spent
+    (e', t.delta_sum +. delta_slack)
 
 let remaining t =
-  let e, d = spent_basic t in
-  (Float.max 0.0 (t.epsilon_limit -. e), Float.max 0.0 (t.delta_limit -. d))
+  ( Float.max 0.0 (t.epsilon_limit -. t.epsilon_sum),
+    Float.max 0.0 (t.delta_limit -. t.delta_sum) )
 
 let limit t = (t.epsilon_limit, t.delta_limit)
 
 let can_afford t ~epsilon ~delta =
-  let e, d = spent_basic t in
-  e +. epsilon <= t.epsilon_limit +. 1e-12 && d +. delta <= t.delta_limit +. 1e-12
+  t.epsilon_sum +. epsilon <= t.epsilon_limit +. 1e-12
+  && t.delta_sum +. delta <= t.delta_limit +. 1e-12
 
 let charge ?(label = "query") t ~epsilon ~delta =
   if epsilon < 0.0 || delta < 0.0 || not (Float.is_finite epsilon && Float.is_finite delta)
   then invalid_arg "Budget.charge: cost must be finite and non-negative";
-  let c = { epsilon; delta; label } in
-  if can_afford t ~epsilon ~delta then t.spent <- c :: t.spent
+  if can_afford t ~epsilon ~delta then begin
+    t.count <- t.count + 1;
+    t.epsilon_sum <- t.epsilon_sum +. epsilon;
+    t.delta_sum <- t.delta_sum +. delta;
+    t.epsilon_max <- Float.max t.epsilon_max epsilon
+  end
   else
     let re, rd = remaining t in
-    raise (Exhausted { requested = c; remaining_epsilon = re; remaining_delta = rd })
+    raise
+      (Exhausted
+         { requested = { epsilon; delta; label }; remaining_epsilon = re; remaining_delta = rd })
 
 let pp ppf t =
-  let e, d = spent_basic t in
   Fmt.pf ppf "budget: spent (eps=%g, delta=%g) of (eps=%g, delta=%g) over %d queries"
-    e d t.epsilon_limit t.delta_limit (List.length t.spent)
+    t.epsilon_sum t.delta_sum t.epsilon_limit t.delta_limit t.count

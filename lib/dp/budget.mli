@@ -1,5 +1,12 @@
 (** Privacy-budget accounting (paper §4.3): basic sequential composition with
-    a hard limit, plus the strong-composition cost report. *)
+    a hard limit, plus the strong-composition cost report.
+
+    An accountant keeps running totals, not its charges: the spend count,
+    the sums of ε and δ and the largest ε. Every operation below is O(1)
+    whatever the history. The sums are accumulated in charge order, so they
+    equal a left fold of the charges in the order they were made, bit for
+    bit; for costs that are not powers of two this can differ in the last
+    bits from a fold in any other order. *)
 
 type charge = { epsilon : float; delta : float; label : string }
 
@@ -37,14 +44,19 @@ val charge : ?label:string -> t -> epsilon:float -> delta:float -> unit
     zero-delta charge is fine: pure-epsilon mechanisms exist). *)
 
 val can_afford : t -> epsilon:float -> delta:float -> bool
-val charges : t -> charge list
+(** Whether {!charge} would accept this cost now: each spent total plus the
+    cost is within its limit, with an absolute tolerance of [1e-12]. *)
+
+val spends : t -> int
+(** Number of charges accepted so far. *)
 
 val spent_basic : t -> float * float
 (** Total [(epsilon, delta)] under basic composition. *)
 
 val spent_strong : ?delta_slack:float -> t -> float * float
 (** Total under the strong composition theorem (Dwork–Rothblum–Vadhan),
-    with [delta_slack] added to the delta term (default [1e-9]). *)
+    from the spend count k, the largest ε and the summed δ, with
+    [delta_slack] added to the delta term (default [1e-9]). *)
 
 val remaining : t -> float * float
 

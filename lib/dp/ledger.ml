@@ -49,7 +49,6 @@ type t = {
   journal_path : string option;
   sync : bool;
   budgets : (string, Budget.t) Hashtbl.t;
-  counts : (string, int) Hashtbl.t; (* granted spends per analyst *)
   lock : Mutex.t;
 }
 
@@ -85,38 +84,37 @@ let entry_of_line line =
     | _ -> None)
   | _ -> None
 
-(* Replay tolerating a torn final line: a malformed line terminates replay if
-   it is the last one (crash mid-append), and is a corruption error
-   otherwise. *)
-let entries_of_lines ~source lines =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | line :: rest when String.trim line = "" -> go acc rest
-    | line :: rest -> (
-      match entry_of_line line with
-      | Some e -> go (e :: acc) rest
-      | None ->
-        if rest = [] then List.rev acc (* torn tail *)
-        else Fmt.invalid_arg "Ledger: corrupt journal %s: %S" source line)
-  in
-  go [] lines
-
-let read_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
+(* Replay, streaming: [f] sees each entry in file order and only the
+   current line is held. A torn final line is tolerated: a malformed line
+   ends replay if it is the last one (crash mid-append), and is a
+   corruption error otherwise. Returns the length in bytes of the prefix
+   replayed, which leaves out a torn final line. *)
+let iter_file path f =
+  if not (Sys.file_exists path) then 0
+  else
+    In_channel.with_open_bin path (fun ic ->
+        let rec go () =
+          let start = In_channel.pos ic in
+          match In_channel.input_line ic with
+          | None -> start
+          | Some line when String.trim line = "" -> go ()
+          | Some line -> (
+            match entry_of_line line with
+            | Some e ->
+              f e;
+              go ()
+            | None ->
+              if Option.is_some (In_channel.input_line ic) then
+                Fmt.invalid_arg "Ledger: corrupt journal %s: %S" path line
+              else start)
         in
-        go [])
-  end
+        Int64.to_int (go ()))
 
-let entries_of_file path = entries_of_lines ~source:path (read_lines path)
+let ends_in_newline path len =
+  len = 0
+  || In_channel.with_open_bin path (fun ic ->
+         In_channel.seek ic (Int64.of_int (len - 1));
+         In_channel.input_char ic = Some '\n')
 
 (* --- state updates --------------------------------------------------------- *)
 
@@ -127,9 +125,7 @@ let apply_entry t = function
   | Spend { analyst; epsilon; delta; label } -> (
     match Hashtbl.find_opt t.budgets analyst with
     | None -> Fmt.invalid_arg "Ledger: journal spend for unregistered analyst %S" analyst
-    | Some b ->
-      Budget.charge ~label b ~epsilon ~delta;
-      Hashtbl.replace t.counts analyst (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts analyst)))
+    | Some b -> Budget.charge ~label b ~epsilon ~delta)
 
 let append t entry =
   match t.oc with
@@ -141,24 +137,32 @@ let append t entry =
 
 (* --- lifecycle ------------------------------------------------------------- *)
 
-let make ~oc ~path ~sync =
+let make ~path ~sync =
   {
-    oc;
+    oc = None;
     journal_path = path;
     sync;
     budgets = Hashtbl.create 16;
-    counts = Hashtbl.create 16;
     lock = Mutex.create ();
   }
 
 let open_ ?(sync = false) path =
-  let entries = entries_of_file path in
+  let t = make ~path:(Some path) ~sync in
+  let replayed = iter_file path (apply_entry t) in
+  (* The next append must start a line of its own, or it would merge with
+     the last one and be lost on the next replay: cut off a torn record
+     replay skipped, and end with a newline a complete final record that
+     lost only its newline (replay counted that one, so it stays). *)
+  if Sys.file_exists path then Unix.truncate path replayed;
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  let t = make ~oc:(Some oc) ~path:(Some path) ~sync in
-  List.iter (apply_entry t) entries;
+  if not (ends_in_newline path replayed) then begin
+    output_string oc "\n";
+    flush oc
+  end;
+  t.oc <- Some oc;
   t
 
-let in_memory () = make ~oc:None ~path:None ~sync:false
+let in_memory () = make ~path:None ~sync:false
 
 let close t =
   with_lock t (fun () ->
@@ -194,46 +198,52 @@ let register t ~analyst ~epsilon ~delta =
             apply_entry t entry;
             Ok ())
 
-let spend t ~analyst ~epsilon ~delta ~label =
+(* The one admission decision [spend] and [check_spend] share, taken under
+   the lock: the analyst's budget when it can afford the cost, the typed
+   refusal otherwise. O(1): [Budget] keeps running totals. *)
+let decide t ~analyst ~epsilon ~delta =
   if
     (not (Float.is_finite epsilon)) || epsilon < 0.0 || (not (Float.is_finite delta))
     || delta < 0.0
   then Error (Invalid_limits { Budget.field = "epsilon/delta cost"; value = epsilon })
   else
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.budgets analyst with
-        | None -> Error (Unknown_analyst analyst)
-        | Some b ->
-          if Budget.can_afford b ~epsilon ~delta then begin
-            let entry = Spend { analyst; epsilon; delta; label = clean_label label } in
-            append t entry;
-            apply_entry t entry;
-            Ok (Budget.remaining b)
-          end
-          else
-            let remaining_epsilon, remaining_delta = Budget.remaining b in
-            Error
-              (Exhausted
-                 {
-                   analyst;
-                   requested_epsilon = epsilon;
-                   requested_delta = delta;
-                   remaining_epsilon;
-                   remaining_delta;
-                 }))
+    match Hashtbl.find_opt t.budgets analyst with
+    | None -> Error (Unknown_analyst analyst)
+    | Some b when Budget.can_afford b ~epsilon ~delta -> Ok b
+    | Some b ->
+      let remaining_epsilon, remaining_delta = Budget.remaining b in
+      Error
+        (Exhausted
+           {
+             analyst;
+             requested_epsilon = epsilon;
+             requested_delta = delta;
+             remaining_epsilon;
+             remaining_delta;
+           })
+
+let spend t ~analyst ~epsilon ~delta ~label =
+  with_lock t (fun () ->
+      match decide t ~analyst ~epsilon ~delta with
+      | Error e -> Error e
+      | Ok b ->
+        let entry = Spend { analyst; epsilon; delta; label = clean_label label } in
+        append t entry;
+        apply_entry t entry;
+        Ok (Budget.remaining b))
+
+let check_spend t ~analyst ~epsilon ~delta =
+  with_lock t (fun () -> Result.map ignore (decide t ~analyst ~epsilon ~delta))
 
 (* --- inspection ------------------------------------------------------------ *)
 
 let find t analyst f =
   with_lock t (fun () -> Option.map f (Hashtbl.find_opt t.budgets analyst))
 
-let limits t ~analyst = find t analyst Budget.limit
-
 let spent t ~analyst = find t analyst Budget.spent_basic
 let remaining t ~analyst = find t analyst Budget.remaining
 
-let spends t ~analyst =
-  with_lock t (fun () -> Option.value ~default:0 (Hashtbl.find_opt t.counts analyst))
+let spends t ~analyst = Option.value ~default:0 (find t analyst Budget.spends)
 
 let analysts t =
   with_lock t (fun () ->
@@ -245,25 +255,31 @@ type summary = {
   delta_limit : float;
   epsilon_spent : float;
   delta_spent : float;
+  remaining_epsilon : float;
+  remaining_delta : float;
   spend_count : int;
 }
 
+let summary_of analyst b =
+  let epsilon_limit, delta_limit = Budget.limit b in
+  let epsilon_spent, delta_spent = Budget.spent_basic b in
+  let remaining_epsilon, remaining_delta = Budget.remaining b in
+  {
+    analyst;
+    epsilon_limit;
+    delta_limit;
+    epsilon_spent;
+    delta_spent;
+    remaining_epsilon;
+    remaining_delta;
+    spend_count = Budget.spends b;
+  }
+
+let summary t ~analyst = find t analyst (summary_of analyst)
+
 let summaries t =
   with_lock t (fun () ->
-      Hashtbl.fold
-        (fun analyst b acc ->
-          let epsilon_spent, delta_spent = Budget.spent_basic b in
-          let epsilon_limit, delta_limit = Budget.limit b in
-          {
-            analyst;
-            epsilon_limit;
-            delta_limit;
-            epsilon_spent;
-            delta_spent;
-            spend_count = Option.value ~default:0 (Hashtbl.find_opt t.counts analyst);
-          }
-          :: acc)
-        t.budgets []
+      Hashtbl.fold (fun analyst b acc -> summary_of analyst b :: acc) t.budgets []
       |> List.sort compare)
 
 let pp_summary ppf s =
@@ -271,6 +287,6 @@ let pp_summary ppf s =
     s.epsilon_spent s.epsilon_limit s.delta_spent s.delta_limit s.spend_count
 
 let summaries_of_file path =
-  let t = make ~oc:None ~path:(Some path) ~sync:false in
-  List.iter (apply_entry t) (entries_of_file path);
+  let t = make ~path:(Some path) ~sync:false in
+  ignore (iter_file path (apply_entry t));
   summaries t

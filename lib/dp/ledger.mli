@@ -9,18 +9,19 @@
     (the journal may at worst record a spend whose answer was never
     delivered, which only errs on the safe side of the privacy accounting).
 
+    Each analyst's totals are running sums kept in journal order, so a
+    spent total equals a left fold of that analyst's journaled costs, bit
+    for bit, live and after replay. (Costs that are not powers of two can
+    differ in the last bits from a fold in any other order.) Every
+    operation on one analyst is O(1) whatever its history, and replay is
+    O(n) in the journal's length.
+
     All operations are serialised by an internal mutex; [spend] is an atomic
     check-journal-charge, so concurrent spenders can never jointly exceed a
     budget and the journal total always equals the sum of granted requests
     exactly. *)
 
 type t
-
-type entry =
-  | Register of { analyst : string; epsilon : float; delta : float }
-      (** budget {e limits} granted to a new analyst *)
-  | Spend of { analyst : string; epsilon : float; delta : float; label : string }
-      (** a granted charge *)
 
 type error =
   | Unknown_analyst of string
@@ -70,12 +71,20 @@ val spend :
     on grant, [Error (Exhausted _)] without any state change when the budget
     cannot afford the request. *)
 
+val check_spend :
+  t -> analyst:string -> epsilon:float -> delta:float -> (unit, error) result
+(** The decision {!spend} would take now, with nothing journaled or charged:
+    the same affordability test and the same [Exhausted] error. Spending only
+    grows, so a cost refused here would be refused by a later [spend] too;
+    [spend] remains the gate that grants. *)
+
 (** {2 Inspection} *)
 
-val limits : t -> analyst:string -> (float * float) option
 val spent : t -> analyst:string -> (float * float) option
 val remaining : t -> analyst:string -> (float * float) option
 val spends : t -> analyst:string -> int
+(** Granted spends; 0 for an unknown analyst. *)
+
 val analysts : t -> string list
 
 type summary = {
@@ -84,16 +93,19 @@ type summary = {
   delta_limit : float;
   epsilon_spent : float;
   delta_spent : float;
+  remaining_epsilon : float;
+  remaining_delta : float;
   spend_count : int;
 }
+
+val summary : t -> analyst:string -> summary option
+(** One analyst's limits, spend, remaining budget and spend count, read in
+    one critical section, so they always agree with each other. *)
 
 val summaries : t -> summary list
 val pp_summary : summary Fmt.t
 
 (** {2 Replay without opening for append} *)
 
-val entries_of_file : string -> entry list
-(** Raw journal replay (same torn-tail tolerance as [open_]). *)
-
 val summaries_of_file : string -> summary list
-(** What [flex_cli budget] prints. *)
+(** What [flex_cli budget] prints (same torn-tail tolerance as [open_]). *)

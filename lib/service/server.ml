@@ -507,24 +507,20 @@ let parse sql =
   match Parser.parse sql with Ok ast -> Ok ast | Error e -> Error (Errors.Parse_error e)
 
 let budget_report t analyst =
-  match
-    ( Ledger.limits t.ledger ~analyst,
-      Ledger.spent t.ledger ~analyst,
-      Ledger.remaining t.ledger ~analyst )
-  with
-  | Some (el, dl), Some (es, ds), Some (re, rd) ->
+  match Ledger.summary t.ledger ~analyst with
+  | Some s ->
     Wire.Budget_report
       {
         analyst;
-        epsilon_limit = el;
-        delta_limit = dl;
-        epsilon_spent = es;
-        delta_spent = ds;
-        remaining_epsilon = re;
-        remaining_delta = rd;
-        queries = Ledger.spends t.ledger ~analyst;
+        epsilon_limit = s.epsilon_limit;
+        delta_limit = s.delta_limit;
+        epsilon_spent = s.epsilon_spent;
+        delta_spent = s.delta_spent;
+        remaining_epsilon = s.remaining_epsilon;
+        remaining_delta = s.remaining_delta;
+        queries = s.spend_count;
       }
-  | _ -> Wire.Error_msg (Printf.sprintf "unknown analyst %S" analyst)
+  | None -> Wire.Error_msg (Printf.sprintf "unknown analyst %S" analyst)
 
 let handle_hello t session ~analyst ~epsilon ~delta =
   let eps = Option.value epsilon ~default:t.config.analyst_epsilon in
@@ -553,6 +549,28 @@ let reject t ~root ~(base : Audit.event) ?key reason =
   Audit.log t.audit event;
   record_obs t ?key event view;
   Wire.Rejected { bucket; reason = Errors.to_string reason }
+
+(* The ledger said no, before execution or at the charge: an exhausted
+   budget is a typed refusal carrying what is left, logged with zero spend
+   and never accompanied by a noisy value. *)
+let ledger_denied t ~root ~base ~key (err : Ledger.error) =
+  match err with
+  | Ledger.Exhausted e ->
+    with_lock t (fun () -> t.refused <- t.refused + 1);
+    instr t (fun i -> Registry.Counter.incr i.m_refused);
+    let finalized, view = finalize t root base in
+    let event = { finalized with outcome = Audit.Refused } in
+    Audit.log t.audit event;
+    record_obs t ~key event view;
+    Wire.Refused
+      {
+        analyst = e.analyst;
+        requested_epsilon = e.requested_epsilon;
+        requested_delta = e.requested_delta;
+        remaining_epsilon = e.remaining_epsilon;
+        remaining_delta = e.remaining_delta;
+      }
+  | err -> Wire.Error_msg (Ledger.error_to_string err)
 
 (* EXPLAIN ANALYZE: execute the plan and render per-operator row counts and
    timings. The execution itself is the disclosure: per-operator elapsed
@@ -772,115 +790,108 @@ let handle_query t session ~sql ~epsilon ~delta ~id =
           | Error reason -> reject t ~root ~base ~key:canon reason
           | Ok analysis -> (
             let column_releases = Flex.smooth_columns ?span:root ~options analysis in
+            let n = float_of_int (List.length column_releases) in
+            let cost_eps = epsilon *. n and cost_delta = delta *. n in
+            (* Refuse before executing: the cost is known from the query's
+               shape alone, and spending only grows, so a cost the budget
+               cannot afford now would be refused by the charge below too. *)
             match
-              Flex.execute ?span:root ?pool:t.pool ~optimize:t.config.optimize_queries
-                ~metrics ~db exec_ast
+              Ledger.check_spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta
             with
-            | Error reason -> reject t ~root ~base ~key:canon reason
-            | Ok result_set -> (
-              let n = float_of_int (List.length column_releases) in
-              let cost_eps = epsilon *. n and cost_delta = delta *. n in
-              (* The atomic gate: journal-then-charge before any noisy value
-                 exists, so refusal can never follow a release. *)
+            | Error err -> ledger_denied t ~root ~base ~key:canon err
+            | Ok () -> (
               match
-                Span.timed root "charge" (fun _ ->
-                    Ledger.spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta
-                      ~label:"flex-query")
+                Flex.execute ?span:root ?pool:t.pool ~optimize:t.config.optimize_queries
+                  ~metrics ~db exec_ast
               with
-              | Error (Ledger.Exhausted e) ->
-                with_lock t (fun () -> t.refused <- t.refused + 1);
-                instr t (fun i -> Registry.Counter.incr i.m_refused);
-                let finalized, view = finalize t root base in
-                let event = { finalized with outcome = Audit.Refused } in
-                Audit.log t.audit event;
-                record_obs t ~key:canon event view;
-                Wire.Refused
-                  {
-                    analyst;
-                    requested_epsilon = cost_eps;
-                    requested_delta = cost_delta;
-                    remaining_epsilon = e.remaining_epsilon;
-                    remaining_delta = e.remaining_delta;
-                  }
-              | Error err -> Wire.Error_msg (Ledger.error_to_string err)
-              | Ok (remaining_epsilon, remaining_delta) ->
-                let release =
-                  Flex.perturb ?span:root ~rng:session.rng ~options ~metrics ~db
-                    ~analysis ~column_releases result_set
-                in
-                with_lock t (fun () -> t.granted <- t.granted + 1);
-                instr t (fun i -> Registry.Counter.incr i.m_granted);
-                let noise_scales =
-                  List.map
-                    (fun (cr : Flex.column_release) -> (cr.name, cr.noise_scale))
-                    release.column_releases
-                in
-                (* Journal the release before responding (charge happened
-                   above): a crash after the charge but before the journal
-                   loses an answer nobody ever saw; a crash after the journal
-                   replays this exact entry forever. Either way, no second
-                   noise draw can leave the server for a charged key. If two
-                   sessions raced the same cold key, the store keeps the first
-                   and we respond with whatever it kept. *)
-                let entry =
-                  {
-                    Release_store.key = release_key;
-                    fingerprint;
-                    analyst;
-                    epsilon;
-                    delta;
-                    epsilon_spent = cost_eps;
-                    delta_spent = cost_delta;
-                    columns = release.noisy.columns;
-                    rows = release.noisy.rows;
-                    bins_enumerated = release.bins_enumerated;
-                    noise_scales;
-                  }
-                in
-                let stored =
-                  match t.release_store with
-                  | None -> entry
-                  | Some store -> Release_store.record store entry
-                in
-                let max_noise_scale =
-                  List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0
-                    stored.noise_scales
-                in
-                match answer_of stored with
-                | exception (Flex_engine.Eval.Error _ | Flex_engine.Compiled.Error _)
-                  ->
-                  (* The core is paid and journaled (the charge stands), but
-                     this request's suffix cannot evaluate over it. *)
-                  reject t ~root ~base ~key:canon
-                    (Errors.Analysis_error
-                       "post-processing suffix failed on the released core")
-                | columns, rows ->
-                  let finalized, view = finalize t root base in
-                  let event =
-                    {
-                      finalized with
-                      outcome = Audit.Granted;
-                      epsilon = cost_eps;
-                      delta = cost_delta;
-                      max_noise_scale;
-                    }
+              | Error reason -> reject t ~root ~base ~key:canon reason
+              | Ok result_set -> (
+                (* The atomic gate: journal-then-charge before any noisy value
+                   exists, so refusal can never follow a release. *)
+                match
+                  Span.timed root "charge" (fun _ ->
+                      Ledger.spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta
+                        ~label:"flex-query")
+                with
+                | Error err -> ledger_denied t ~root ~base ~key:canon err
+                | Ok (remaining_epsilon, remaining_delta) ->
+                  let release =
+                    Flex.perturb ?span:root ~rng:session.rng ~options ~metrics ~db
+                      ~analysis ~column_releases result_set
                   in
-                  Audit.log t.audit event;
-                  record_obs t ~key:canon ~rows:(List.length rows) event view;
-                  Wire.Result
+                  with_lock t (fun () -> t.granted <- t.granted + 1);
+                  instr t (fun i -> Registry.Counter.incr i.m_granted);
+                  let noise_scales =
+                    List.map
+                      (fun (cr : Flex.column_release) -> (cr.name, cr.noise_scale))
+                      release.column_releases
+                  in
+                  (* Journal the release before responding (charge happened
+                     above): a crash after the charge but before the journal
+                     loses an answer nobody ever saw; a crash after the journal
+                     replays this exact entry forever. Either way, no second
+                     noise draw can leave the server for a charged key. If two
+                     sessions raced the same cold key, the store keeps the first
+                     and we respond with whatever it kept. *)
+                  let entry =
                     {
-                      columns;
-                      rows = wire_rows rows;
+                      Release_store.key = release_key;
+                      fingerprint;
+                      analyst;
+                      epsilon;
+                      delta;
                       epsilon_spent = cost_eps;
                       delta_spent = cost_delta;
-                      remaining_epsilon;
-                      remaining_delta;
-                      cache_hit;
-                      cached = false;
-                      derived = false;
-                      bins_enumerated = stored.bins_enumerated;
-                      noise_scales = stored.noise_scales;
-                    }))))))
+                      columns = release.noisy.columns;
+                      rows = release.noisy.rows;
+                      bins_enumerated = release.bins_enumerated;
+                      noise_scales;
+                    }
+                  in
+                  let stored =
+                    match t.release_store with
+                    | None -> entry
+                    | Some store -> Release_store.record store entry
+                  in
+                  let max_noise_scale =
+                    List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0
+                      stored.noise_scales
+                  in
+                  match answer_of stored with
+                  | exception (Flex_engine.Eval.Error _ | Flex_engine.Compiled.Error _)
+                    ->
+                    (* The core is paid and journaled (the charge stands), but
+                       this request's suffix cannot evaluate over it. *)
+                    reject t ~root ~base ~key:canon
+                      (Errors.Analysis_error
+                         "post-processing suffix failed on the released core")
+                  | columns, rows ->
+                    let finalized, view = finalize t root base in
+                    let event =
+                      {
+                        finalized with
+                        outcome = Audit.Granted;
+                        epsilon = cost_eps;
+                        delta = cost_delta;
+                        max_noise_scale;
+                      }
+                    in
+                    Audit.log t.audit event;
+                    record_obs t ~key:canon ~rows:(List.length rows) event view;
+                    Wire.Result
+                      {
+                        columns;
+                        rows = wire_rows rows;
+                        epsilon_spent = cost_eps;
+                        delta_spent = cost_delta;
+                        remaining_epsilon;
+                        remaining_delta;
+                        cache_hit;
+                        cached = false;
+                        derived = false;
+                        bins_enumerated = stored.bins_enumerated;
+                        noise_scales = stored.noise_scales;
+                      })))))))
 
 (* EXPLAIN is free: it renders plan shapes without touching the database,
    so it is neither charged nor counted as a query. Because it is free, the

@@ -218,6 +218,61 @@ let budget_tests =
         let eb, _ = Budget.spent_basic b in
         let es, _ = Budget.spent_strong b in
         Alcotest.(check bool) "strong < basic" true (es < eb));
+    Alcotest.test_case "strong composition is the DRV formula over the charges" `Quick
+      (fun () ->
+        let charges =
+          List.concat (List.init 5 (fun _ -> [ (0.1, 1e-7); (0.7, 0.0); (1e-3, 3e-9); (0.3, 1e-8) ]))
+        in
+        let b = Budget.create ~epsilon:100.0 ~delta:1.0 in
+        Alcotest.(check bool) "nothing spent" true (Budget.spent_strong b = (0.0, 0.0));
+        List.iter (fun (epsilon, delta) -> Budget.charge b ~epsilon ~delta) charges;
+        let drv delta_slack =
+          let k = float_of_int (List.length charges) in
+          let emax = List.fold_left (fun acc (e, _) -> Float.max acc e) 0.0 charges in
+          let dsum = List.fold_left (fun acc (_, d) -> acc +. d) 0.0 charges in
+          ( (emax *. sqrt (2.0 *. k *. log (1.0 /. delta_slack)))
+            +. (k *. emax *. (exp emax -. 1.0)),
+            dsum +. delta_slack )
+        in
+        Alcotest.(check bool) "default slack" true (Budget.spent_strong b = drv 1e-9);
+        Alcotest.(check bool) "explicit slack" true
+          (Budget.spent_strong ~delta_slack:1e-6 b = drv 1e-6);
+        Alcotest.(check int) "spends" (List.length charges) (Budget.spends b));
+    Alcotest.test_case "the 1e-12 limit tolerance decides the boundary" `Quick (fun () ->
+        (* power-of-two charges: the spent total is exact, so the reference
+           predicate below is the accountant's rule with nothing to round *)
+        let b = Budget.create ~epsilon:1.0 ~delta:1e-6 in
+        for _ = 1 to 3 do
+          Budget.charge b ~epsilon:0.25 ~delta:0.0
+        done;
+        let edge = 1.0 +. 1e-12 -. 0.75 in
+        List.iter
+          (fun e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "eps %h" e)
+              (0.75 +. e <= 1.0 +. 1e-12)
+              (Budget.can_afford b ~epsilon:e ~delta:0.0))
+          [
+            0.25;
+            0.25 +. 1e-12;
+            0.25 +. 2e-12;
+            edge;
+            Float.pred edge;
+            Float.succ edge;
+            Float.succ (Float.succ edge);
+          ];
+        Alcotest.(check bool) "within the tolerance" true
+          (Budget.can_afford b ~epsilon:(0.25 +. 1e-12) ~delta:0.0);
+        Alcotest.(check bool) "past the tolerance" false
+          (Budget.can_afford b ~epsilon:(0.25 +. 2e-12) ~delta:0.0);
+        Alcotest.(check bool) "delta within the tolerance" true
+          (Budget.can_afford b ~epsilon:0.0 ~delta:(1e-6 +. 1e-12));
+        Alcotest.(check bool) "delta past the tolerance" false
+          (Budget.can_afford b ~epsilon:0.0 ~delta:(1e-6 +. 2e-12));
+        Budget.charge b ~epsilon:(0.25 +. 1e-12) ~delta:0.0;
+        Alcotest.(check bool) "charged past the limit by the tolerance" true
+          (Budget.spent_basic b = (0.75 +. (0.25 +. 1e-12), 0.0));
+        Alcotest.(check bool) "remaining clipped" true (Budget.remaining b = (0.0, 1e-6)));
     Alcotest.test_case "remaining is clipped at zero" `Quick (fun () ->
         let b = Budget.create ~epsilon:0.1 ~delta:1e-6 in
         Budget.charge b ~epsilon:0.1 ~delta:1e-6;

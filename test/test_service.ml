@@ -368,14 +368,127 @@ let ledger_tests =
         ignore (Ledger.register l ~analyst:"a" ~epsilon:1.0 ~delta:1e-4);
         ignore (Ledger.spend l ~analyst:"a" ~epsilon:0.25 ~delta:0.0 ~label:"q");
         Ledger.close l;
-        (* simulate a crash mid-append: no trailing newline *)
-        let oc = open_out_gen [ Open_append ] 0o644 path in
-        output_string oc "spend\ta\t0.2";
-        close_out oc;
+        let crash_after tail =
+          let oc = open_out_gen [ Open_append ] 0o644 path in
+          output_string oc tail;
+          close_out oc
+        in
+        let spent () =
+          let l = Ledger.open_ path in
+          let s = Ledger.spent l ~analyst:"a" in
+          Ledger.close l;
+          s
+        in
+        let restart_and_spend epsilon =
+          let l = Ledger.open_ path in
+          ignore (Ledger.spend l ~analyst:"a" ~epsilon ~delta:0.0 ~label:"q");
+          Ledger.close l
+        in
+        (* a crash mid-append: a partial record, no trailing newline *)
+        crash_after "spend\ta\t0.2";
+        Alcotest.(check bool) "torn tail dropped" true (spent () = Some (0.25, 0.0));
+        (* the restarted ledger's next spend must survive the next restart,
+           not merge into the torn line *)
+        restart_and_spend 0.125;
+        Alcotest.(check bool) "spend after a torn tail kept" true
+          (spent () = Some (0.375, 0.0));
+        (* a crash between a complete record and its newline: replay counts
+           the record, and the next spend lands on a line of its own *)
+        crash_after "spend\ta\t0.5\t0\tq";
+        Alcotest.(check bool) "complete final record counted" true
+          (spent () = Some (0.875, 0.0));
+        restart_and_spend 0.125;
+        Alcotest.(check bool) "spend after an unterminated record kept" true
+          (spent () = Some (1.0, 0.0));
+        (* a malformed line with records after it is corruption *)
+        crash_after "spend\ta\tbogus\nspend\ta\t0\t0\tq\n";
+        (match Ledger.open_ path with
+        | exception Invalid_argument _ -> ()
+        | l ->
+          Ledger.close l;
+          Alcotest.fail "interior corruption accepted");
+        Sys.remove path);
+    Alcotest.test_case "spent totals are the journal-order fold, live and replayed" `Quick
+      (fun () ->
+        (* costs that are not powers of two, so summation order shows in the
+           last bits *)
+        let costs =
+          List.concat
+            (List.init 25 (fun _ ->
+                 [ (0.1, 1e-9); (0.7, 3e-10); (1e-3, 7e-11); (0.3, 2e-9) ]))
+        in
+        let fold = List.fold_left ( +. ) 0.0 in
+        let sums costs = (fold (List.map fst costs), fold (List.map snd costs)) in
+        let expected = sums costs in
+        Alcotest.(check bool) "the costs are order-sensitive" true
+          (fst expected <> fst (sums (List.rev costs))
+          && snd expected <> snd (sums (List.rev costs)));
+        let path = temp_journal () in
+        let l = Ledger.open_ path in
+        ignore (Ledger.register l ~analyst:"a" ~epsilon:100.0 ~delta:1e-4);
+        List.iter
+          (fun (epsilon, delta) ->
+            match Ledger.spend l ~analyst:"a" ~epsilon ~delta ~label:"q" with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "spend refused: %s" (Ledger.error_to_string e))
+          costs;
+        Alcotest.(check bool) "live" true (Ledger.spent l ~analyst:"a" = Some expected);
+        Ledger.close l;
         let l2 = Ledger.open_ path in
-        Alcotest.(check bool) "torn tail dropped" true
-          (Ledger.spent l2 ~analyst:"a" = Some (0.25, 0.0));
+        Alcotest.(check bool) "reopened" true (Ledger.spent l2 ~analyst:"a" = Some expected);
         Ledger.close l2;
+        (match Ledger.summaries_of_file path with
+        | [ s ] ->
+          Alcotest.(check bool) "offline replay" true
+            ((s.epsilon_spent, s.delta_spent) = expected);
+          Alcotest.(check int) "offline count" (List.length costs) s.spend_count
+        | _ -> Alcotest.fail "one analyst expected");
+        Sys.remove path);
+    Alcotest.test_case "spends counts granted spends, live and replayed" `Quick (fun () ->
+        let path = temp_journal () in
+        let l = Ledger.open_ path in
+        ignore (Ledger.register l ~analyst:"a" ~epsilon:1.0 ~delta:1e-4);
+        ignore (Ledger.register l ~analyst:"b" ~epsilon:1.0 ~delta:1e-4);
+        let granted =
+          List.filter
+            (fun epsilon ->
+              Result.is_ok (Ledger.spend l ~analyst:"a" ~epsilon ~delta:0.0 ~label:"q"))
+            [ 0.25; 0.5; 0.5; 0.125; 0.25; 0.125 ]
+        in
+        Alcotest.(check int) "grants" 4 (List.length granted);
+        Alcotest.(check int) "live" 4 (Ledger.spends l ~analyst:"a");
+        Alcotest.(check int) "no spends" 0 (Ledger.spends l ~analyst:"b");
+        Alcotest.(check int) "unknown analyst" 0 (Ledger.spends l ~analyst:"ghost");
+        Ledger.close l;
+        let l2 = Ledger.open_ path in
+        Alcotest.(check int) "reopened" 4 (Ledger.spends l2 ~analyst:"a");
+        Alcotest.(check bool) "summary agrees" true
+          (match Ledger.summary l2 ~analyst:"a" with
+          | Some s -> s.spend_count = 4 && s.epsilon_spent = 1.0 && s.remaining_epsilon = 0.0
+          | None -> false);
+        Ledger.close l2;
+        Sys.remove path);
+    Alcotest.test_case "check_spend decides like spend and changes nothing" `Quick
+      (fun () ->
+        let path = temp_journal () in
+        let l = Ledger.open_ path in
+        ignore (Ledger.register l ~analyst:"a" ~epsilon:1.0 ~delta:1e-4);
+        ignore (Ledger.spend l ~analyst:"a" ~epsilon:0.75 ~delta:0.0 ~label:"q");
+        let before = summary_list l and bytes = (Unix.stat path).st_size in
+        Alcotest.(check bool) "affordable" true
+          (Ledger.check_spend l ~analyst:"a" ~epsilon:0.25 ~delta:0.0 = Ok ());
+        let check = Ledger.check_spend l ~analyst:"a" ~epsilon:0.5 ~delta:0.0 in
+        let spend = Ledger.spend l ~analyst:"a" ~epsilon:0.5 ~delta:0.0 ~label:"q" in
+        (match (check, spend) with
+        | Error (Ledger.Exhausted _ as c), Error (Ledger.Exhausted _ as s) ->
+          Alcotest.(check bool) "same refusal" true (c = s)
+        | _ -> Alcotest.fail "expected Exhausted from both");
+        (match Ledger.check_spend l ~analyst:"ghost" ~epsilon:0.1 ~delta:0.0 with
+        | Error (Ledger.Unknown_analyst _) -> ()
+        | _ -> Alcotest.fail "expected Unknown_analyst");
+        Alcotest.(check bool) "state unchanged" true (summary_list l = before);
+        Alcotest.(check int) "nothing journaled" bytes (Unix.stat path).st_size;
+        Ledger.close l;
         Sys.remove path);
     Alcotest.test_case "concurrent spends conserve the budget exactly" `Quick (fun () ->
         let l = Ledger.in_memory () in
@@ -544,6 +657,172 @@ let server_tests =
           (Option.bind (Json.mem "bucket" rejected) Json.to_str);
         Alcotest.(check (option string)) "no result values in the log" None
           (Option.bind (Json.mem "rows" granted) Json.to_str));
+    Alcotest.test_case "budget reports stay consistent under concurrent spenders" `Quick
+      (fun () ->
+        let server, ledger = make_server () in
+        let session = Server.session server in
+        (match
+           Server.handle server session
+             (Wire.Hello { analyst = "team"; epsilon = Some 512.0; delta = Some 1e-4 })
+         with
+        | Wire.Budget_report _ -> ()
+        | other -> Alcotest.failf "hello: %s" (Wire.response_to_line other));
+        (* powers of two: every total below is exact whatever the interleaving *)
+        let eps = 0.125 and d = Float.ldexp 1.0 (-30) in
+        let spenders_done = Atomic.make 0 in
+        let spender () =
+          for _ = 1 to 2048 do
+            ignore (Ledger.spend ledger ~analyst:"team" ~epsilon:eps ~delta:d ~label:"q")
+          done;
+          Atomic.incr spenders_done
+        in
+        let domains = List.init 2 (fun _ -> Domain.spawn spender) in
+        let reports = ref 0 in
+        let check () =
+          match Server.handle server session Wire.Budget_info with
+          | Wire.Budget_report r ->
+            incr reports;
+            if r.epsilon_spent +. r.remaining_epsilon <> r.epsilon_limit then
+              Alcotest.failf "spent %h + remaining %h <> limit %h" r.epsilon_spent
+                r.remaining_epsilon r.epsilon_limit;
+            if float_of_int r.queries *. eps <> r.epsilon_spent then
+              Alcotest.failf "%d queries but epsilon spent %h" r.queries r.epsilon_spent;
+            if float_of_int r.queries *. d <> r.delta_spent then
+              Alcotest.failf "%d queries but delta spent %h" r.queries r.delta_spent
+          | other -> Alcotest.failf "budget: %s" (Wire.response_to_line other)
+        in
+        while Atomic.get spenders_done < 2 do
+          check ()
+        done;
+        List.iter Domain.join domains;
+        check ();
+        Alcotest.(check bool) "reports made" true (!reports > 1);
+        Alcotest.(check int) "every spend granted" 4096 (Ledger.spends ledger ~analyst:"team"));
+  ]
+
+(* --- early refusal -------------------------------------------------------------- *)
+
+(* An analyst whose whole budget (eps 0.0625) is below one default-epsilon
+   query (0.1), beside a paying analyst, on one server. *)
+let broke_server ?config () =
+  let buf = Buffer.create 256 in
+  let db, metrics = Lazy.force fixture in
+  let ledger = Ledger.in_memory () in
+  let server =
+    Server.create ~audit:(Audit.to_buffer buf) ?config ~db ~metrics ~ledger
+      ~rng:(Rng.create ~seed:11 ()) ()
+  in
+  let broke = Server.session server and payer = Server.session server in
+  (match
+     Server.handle server broke
+       (Wire.Hello { analyst = "broke"; epsilon = Some 0.0625; delta = None })
+   with
+  | Wire.Budget_report _ -> ()
+  | other -> Alcotest.failf "hello: %s" (Wire.response_to_line other));
+  hello server payer "payer";
+  (server, ledger, buf, broke, payer)
+
+let expect_refused what = function
+  | Wire.Refused r ->
+    Alcotest.(check string) (what ^ ": analyst") "broke" r.analyst;
+    Alcotest.(check (float 0.0)) (what ^ ": remaining") 0.0625 r.remaining_epsilon
+  | other -> Alcotest.failf "%s: expected refusal, got %s" what (Wire.response_to_line other)
+
+let early_refusal_tests =
+  [
+    Alcotest.test_case "an unaffordable query is refused before execution" `Quick
+      (fun () ->
+        let server, ledger, buf, broke, _ = broke_server () in
+        let before = Ledger.summary ledger ~analyst:"broke" in
+        expect_refused "query" (query server broke "SELECT COUNT(*) FROM trips");
+        Alcotest.(check bool) "ledger unchanged" true
+          (Ledger.summary ledger ~analyst:"broke" = before);
+        (match Option.map Flex_obs.Flight.snapshot (Server.flights server) with
+        | Some [ { outcome = "refused"; trace = Some v; _ } ] ->
+          let names = List.map (fun (c : Flex_obs.Span.view) -> c.name) v.children in
+          Alcotest.(check bool) "analysed" true (List.mem "cache" names);
+          Alcotest.(check bool) "no execute span" false (List.mem "execute" names);
+          Alcotest.(check bool) "no charge span" false (List.mem "charge" names)
+        | _ -> Alcotest.fail "expected one refused flight with a trace");
+        (match
+           String.split_on_char '\n' (Buffer.contents buf)
+           |> List.filter (fun l -> l <> "")
+           |> List.map Json.of_string_exn
+         with
+        | [ e ] ->
+          Alcotest.(check (option string)) "audit outcome" (Some "refused")
+            (Option.bind (Json.mem "outcome" e) Json.to_str);
+          Alcotest.(check (option (float 0.0))) "audit epsilon" (Some 0.0)
+            (Option.bind (Json.mem "epsilon" e) Json.to_num);
+          Alcotest.(check (option (float 0.0))) "no execution time" (Some 0.0)
+            (Option.bind (Json.mem "execution_ns" e) Json.to_num)
+        | events -> Alcotest.failf "expected one audit event, got %d" (List.length events));
+        let c = Server.counters server in
+        Alcotest.(check int) "refused" 1 c.refused;
+        Alcotest.(check int) "granted" 0 c.granted);
+    Alcotest.test_case "a refused analyst still gets replays and derivations" `Quick
+      (fun () ->
+        let server, ledger, _, broke, payer = broke_server () in
+        let core = "SELECT t.status, COUNT(*) FROM trips t GROUP BY t.status" in
+        (match query server payer core with
+        | Wire.Result r -> Alcotest.(check bool) "payer is charged" true (r.epsilon_spent > 0.0)
+        | other -> Alcotest.failf "payer: %s" (Wire.response_to_line other));
+        List.iter
+          (fun (sql, derived) ->
+            match query server broke sql with
+            | Wire.Result r ->
+              Alcotest.(check bool) "from the store" true r.cached;
+              Alcotest.(check bool) "derived" derived r.derived;
+              Alcotest.(check (float 0.0)) "zero epsilon" 0.0 r.epsilon_spent
+            | other -> Alcotest.failf "%s: %s" sql (Wire.response_to_line other))
+          [
+            ("SELECT u.status, COUNT(*) FROM trips u GROUP BY u.status", false);
+            (core ^ " ORDER BY 2 DESC LIMIT 2", true);
+          ];
+        expect_refused "new core" (query server broke "SELECT COUNT(*) FROM drivers");
+        Alcotest.(check bool) "nothing spent" true
+          (Ledger.spent ledger ~analyst:"broke" = Some (0.0, 0.0)));
+    Alcotest.test_case "a query that would fail in execution is refused, not rejected"
+      `Quick (fun () ->
+        let server, _, _, broke, payer = broke_server () in
+        let sql = "SELECT COUNT(*) FROM trips WHERE status + 1 > 2" in
+        (match query server payer sql with
+        | Wire.Rejected r -> Alcotest.(check string) "payer: execution fails" "other" r.bucket
+        | other -> Alcotest.failf "payer: expected rejection, got %s" (Wire.response_to_line other));
+        expect_refused "broke" (query server broke sql));
+    Alcotest.test_case "sessions racing at the limit get exactly the affordable grants"
+      `Quick (fun () ->
+        let server, ledger = make_server () in
+        let setup = Server.session server in
+        (match
+           Server.handle server setup
+             (Wire.Hello { analyst = "team"; epsilon = Some 1.0; delta = None })
+         with
+        | Wire.Budget_report _ -> ()
+        | other -> Alcotest.failf "hello: %s" (Wire.response_to_line other));
+        (* 0.25 spent up front leaves six 0.125 queries; two sessions ask
+           for six each, all distinct, so none replays another *)
+        ignore (Ledger.spend ledger ~analyst:"team" ~epsilon:0.25 ~delta:0.0 ~label:"setup");
+        let granted = Atomic.make 0 and refused = Atomic.make 0 in
+        let client k () =
+          let session = Server.session server in
+          hello server session "team";
+          for i = 1 to 6 do
+            let sql = Printf.sprintf "SELECT COUNT(*) FROM trips WHERE fare > %d" ((10 * i) + k) in
+            match query ~epsilon:0.125 server session sql with
+            | Wire.Result r when r.epsilon_spent = 0.125 -> Atomic.incr granted
+            | Wire.Refused _ -> Atomic.incr refused
+            | other -> Alcotest.failf "query: %s" (Wire.response_to_line other)
+          done
+        in
+        let threads = List.init 2 (fun k -> Thread.create (client k) ()) in
+        List.iter Thread.join threads;
+        Alcotest.(check int) "grants" 6 (Atomic.get granted);
+        Alcotest.(check int) "refusals" 6 (Atomic.get refused);
+        Alcotest.(check bool) "ledger total exact" true
+          (Ledger.spent ledger ~analyst:"team"
+           = Some (1.0, List.fold_left ( +. ) 0.0 (List.init 6 (fun _ -> 1e-8))));
+        Alcotest.(check int) "journaled spends" 7 (Ledger.spends ledger ~analyst:"team"));
   ]
 
 (* --- TCP smoke test ------------------------------------------------------------ *)
@@ -653,5 +932,6 @@ let suites =
     ("service-canon", canon_tests);
     ("service-ledger", ledger_tests);
     ("service-server", server_tests);
+    ("service-early-refusal", early_refusal_tests);
     ("service-tcp", tcp_tests);
   ]
