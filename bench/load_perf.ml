@@ -8,10 +8,9 @@
    Three sections, all driven over real TCP by the closed-loop
    Load_driver (the same harness behind `flex_client bench`):
 
-   - warm: hundreds of connections replaying primed release-store hits,
-     against BOTH front ends in the same run — the thread-per-connection
-     baseline and the reactor — reporting p50/p99 latency and sustained
-     q/s for each. Full mode gates reactor q/s >= baseline q/s.
+   - warm: hundreds of connections replaying primed release-store hits
+     through the reactor, reporting p50/p99 latency and sustained q/s;
+     gates a clean run (no errors, rejections or refusals).
    - derived: the dashboard workload where every answer is computed by
      post-processing a stored release (ORDER BY/LIMIT, HAVING, projection
      arithmetic over the same core); gates that every response came from
@@ -117,55 +116,24 @@ let check_clean name (o : L.outcome) =
 
 (* ------------------------------------------------------------ warm section *)
 
-(* Both front ends serve the same already-primed server, so every query is
-   a release-store replay and the measurement isolates the connection
-   layer itself. *)
+(* The server is primed first, so every query is a release-store replay
+   and the measurement isolates the connection layer itself. *)
 let warm_section ~connections ~requests fixture =
   let server = make_server ~seed:42 fixture in
   prime server;
-  let baseline () =
-    let listener = Server.listen server in
-    ignore (Server.start listener);
-    Fun.protect
-      ~finally:(fun () -> Server.stop listener)
-      (fun () ->
-        L.run ~port:(Server.port listener) ~connections ~requests
-          ~make_request:(rotate shapes) ())
+  let config =
+    { Reactor.default_config with workers = 4; max_pending = 2 * connections + 8 }
   in
-  let reactor () =
-    let config =
-      { Reactor.default_config with workers = 4; max_pending = 2 * connections + 8 }
-    in
-    let r = Reactor.listen ~config server in
-    ignore (Reactor.start r);
+  let r = Reactor.listen ~config server in
+  ignore (Reactor.start r);
+  let outcome =
     Fun.protect
       ~finally:(fun () -> Reactor.stop r)
       (fun () ->
-        L.run ~port:(Reactor.port r) ~connections ~requests
-          ~make_request:(rotate shapes) ())
+        L.run ~port:(Reactor.port r) ~connections ~requests ~make_request:(rotate shapes) ())
   in
-  let run () =
-    let b = baseline () in
-    let r = reactor () in
-    check_clean "warm baseline" b;
-    check_clean "warm reactor" r;
-    (section b, section r)
-  in
-  (* a throughput comparison on shared CI hardware gets three attempts:
-     scheduler noise passes on retry, a real regression fails all three *)
-  let rec gated attempts =
-    let b, r = run () in
-    if !smoke || r.qps >= b.qps then (b, r)
-    else if attempts > 1 then begin
-      Fmt.pr "  (warm gate retry: reactor %.0f q/s < baseline %.0f q/s)@." r.qps b.qps;
-      gated (attempts - 1)
-    end
-    else
-      Fmt.failwith
-        "warm gate: reactor %.0f q/s is below the thread-per-connection baseline %.0f q/s"
-        r.qps b.qps
-  in
-  gated 3
+  check_clean "warm reactor" outcome;
+  section outcome
 
 (* --------------------------------------------------------- derived section *)
 
@@ -281,12 +249,9 @@ let () =
   let fixture = W.Uber.generate ~sizes (Rng.create ~seed:7 ()) in
   Fmt.pr "flex sustained-load benchmark (%d connections x %d requests, closed loop)@."
     connections requests;
-  let baseline, reactor = warm_section ~connections ~requests fixture in
-  Fmt.pr "  warm thread-per-conn: %8.0f q/s  p50 %6.2f ms  p99 %6.2f ms@." baseline.qps
-    baseline.p50_ms baseline.p99_ms;
-  Fmt.pr "  warm reactor:         %8.0f q/s  p50 %6.2f ms  p99 %6.2f ms  (%.2fx)@."
-    reactor.qps reactor.p50_ms reactor.p99_ms
-    (reactor.qps /. Float.max baseline.qps 1.0);
+  let reactor = warm_section ~connections ~requests fixture in
+  Fmt.pr "  warm reactor:          %7.0f q/s  p50 %6.2f ms  p99 %6.2f ms@." reactor.qps
+    reactor.p50_ms reactor.p99_ms;
   let derived = derived_section ~connections ~requests fixture in
   Fmt.pr "  derived (zero budget): %7.0f q/s  p50 %6.2f ms  p99 %6.2f ms@." derived.qps
     derived.p50_ms derived.p99_ms;
@@ -307,9 +272,7 @@ let () =
        \"ok\": %d, \"cached\": %d},\n"
       name s.qps s.p50_ms s.p99_ms s.outcome.L.sent s.outcome.L.ok s.outcome.L.cached
   in
-  add_section "warm_thread_per_conn" baseline;
   add_section "warm_reactor" reactor;
-  add "  \"warm_speedup\": %.2f,\n" (reactor.qps /. Float.max baseline.qps 1e-9);
   add_section "derived" derived;
   add
     "  \"overload\": {\"connections\": %d, \"sent\": %d, \"granted\": %d, \

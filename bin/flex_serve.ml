@@ -16,6 +16,7 @@ module Csv = Flex_engine.Csv
 module Ledger = Flex_dp.Ledger
 module Rng = Flex_dp.Rng
 module Server = Flex_service.Server
+module Reactor = Flex_service.Reactor
 module Audit = Flex_service.Audit
 open Cmdliner
 
@@ -35,8 +36,7 @@ let load_csv_dir dir =
 let serve dir metrics_file demo port ledger_file audit_file audit_max_bytes sync epsilon
     delta analyst_epsilon analyst_delta cap seed domains explain_estimates stats_port
     no_telemetry release_cache releases_file release_capacity workers max_connections
-    max_pending idle_timeout rate_limit thread_per_conn statement_capacity flight_capacity
-    =
+    max_pending idle_timeout rate_limit statement_capacity flight_capacity =
   let db, metrics =
     if demo then begin
       Fmt.pr "generating a ride-sharing database...@.";
@@ -96,36 +96,26 @@ let serve dir metrics_file demo port ledger_file audit_file audit_max_bytes sync
     Server.create ~audit ~config ?pool ?release_store ~db ~metrics ~ledger
       ~rng:(Rng.create ~seed ()) ()
   in
-  let front_port, run_front =
-    if thread_per_conn then begin
-      let listener = Server.listen ~port ~idle_timeout server in
-      (Server.port listener, fun () -> Server.serve listener)
-    end
-    else begin
-      let config =
+  let reactor =
+    Reactor.listen ~port
+      ~config:
         {
-          Flex_service.Reactor.default_config with
+          Reactor.default_config with
           workers;
           max_pending;
           max_connections;
           idle_timeout;
         }
-      in
-      let reactor = Flex_service.Reactor.listen ~port ~config server in
-      (Flex_service.Reactor.port reactor, fun () -> Flex_service.Reactor.run reactor)
-    end
+      server
   in
   Fmt.pr "flex_serve: listening on 127.0.0.1:%d (%d tables, %d rows, %d execution domain%s)@."
-    front_port
+    (Reactor.port reactor)
     (List.length (Database.table_names db))
     (Metrics.total_rows metrics)
     domains
     (if domains = 1 then "" else "s");
-  if thread_per_conn then Fmt.pr "flex_serve: thread-per-connection front end@."
-  else
-    Fmt.pr
-      "flex_serve: event-driven front end (%d workers, %d pending, %d connections max)@."
-      workers max_pending max_connections;
+  Fmt.pr "flex_serve: event-driven front end (%d workers, %d pending, %d connections max)@."
+    workers max_pending max_connections;
   (match rate_limit with
   | Some qps -> Fmt.pr "flex_serve: per-analyst rate limit %g queries/s@." qps
   | None -> ());
@@ -153,7 +143,7 @@ let serve dir metrics_file demo port ledger_file audit_file audit_max_bytes sync
        /flights, /healthz)@."
       (Flex_service.Stats_http.port http)
   | None, _ -> ());
-  run_front ()
+  Reactor.run reactor
 
 let () =
   let dir =
@@ -305,9 +295,7 @@ let () =
     Arg.(
       value & opt int 4
       & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker threads executing requests behind the event-driven front end \
-             (ignored with $(b,--thread-per-conn)).")
+          ~doc:"Worker threads executing requests behind the event-driven front end.")
   in
   let max_connections =
     Arg.(
@@ -332,7 +320,7 @@ let () =
       & info [ "idle-timeout" ] ~docv:"SECS"
           ~doc:
             "Close connections silent for this long (half-open peers, slowloris \
-             frames); 0 disables. Applies to both front ends.")
+             frames); 0 disables.")
   in
   let rate_limit =
     Arg.(
@@ -343,14 +331,6 @@ let () =
             "Per-analyst token-bucket rate limit on Query requests; over-limit \
              requests get $(b,Rejected {bucket=\"rate_limit\"}) and are charged \
              nothing. Off when omitted.")
-  in
-  let thread_per_conn =
-    Arg.(
-      value & flag
-      & info [ "thread-per-conn" ]
-          ~doc:
-            "Use the legacy thread-per-connection front end instead of the \
-             event-driven reactor (mostly useful for baseline benchmarks).")
   in
   let statement_capacity =
     Arg.(
@@ -380,6 +360,6 @@ let () =
       $ audit_max_bytes $ sync $ epsilon $ delta $ analyst_epsilon $ analyst_delta $ cap
       $ seed $ domains $ explain_estimates $ stats_port $ no_telemetry $ release_cache
       $ releases_file $ release_capacity $ workers $ max_connections $ max_pending
-      $ idle_timeout $ rate_limit $ thread_per_conn $ statement_capacity $ flight_capacity)
+      $ idle_timeout $ rate_limit $ statement_capacity $ flight_capacity)
   in
   exit (Cmd.eval (Cmd.v info term))

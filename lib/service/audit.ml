@@ -118,8 +118,6 @@ let count t =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> t.count)
 
-let events = count
-
 let close t =
   Mutex.lock t.lock;
   Fun.protect

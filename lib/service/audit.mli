@@ -67,7 +67,4 @@ val log : t -> event -> unit
 val count : t -> int
 (** Number of events logged since creation. *)
 
-val events : t -> int
-  [@@ocaml.deprecated "misleading name (returns the count, not the events); use Audit.count"]
-
 val close : t -> unit

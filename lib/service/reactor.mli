@@ -1,10 +1,10 @@
 (** Event-driven TCP front end: a single readiness loop over nonblocking
     sockets feeding a bounded worker pool.
 
-    The thread-per-connection front end ({!Server.listen}) spends an OS
-    thread — and under load, a context switch per request — on every
-    analyst. With replay/derivation answering warm queries in microseconds,
-    that connection layer is the bottleneck. The reactor replaces it:
+    This is the service's only front end. A thread per connection would
+    spend an OS thread — and under load, a context switch per request — on
+    every analyst; with replay/derivation answering warm queries in
+    microseconds, that connection layer would be the bottleneck. Instead:
 
     - {b one reactor thread} multiplexes every connection with
       [Unix.select]: it accepts, reads, frames line-delimited requests
@@ -30,9 +30,9 @@
       closed (half-open peers, slowloris partial frames, dead clients) —
       no fd outlives its usefulness.
 
-    The privacy-critical ordering is untouched: charge → journal →
-    respond all happen inside {!Server.handle} on a worker thread exactly
-    as they do on the blocking path; the reactor only moves bytes.
+    The privacy-critical ordering lives in the server: charge → journal →
+    respond all happen inside {!Server.handle} on a worker thread; the
+    reactor only moves bytes.
 
     Accepted sockets get [TCP_NODELAY]. The loop is built on
     [Unix.select], so [max_connections] must stay well under [FD_SETSIZE]

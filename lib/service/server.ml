@@ -23,10 +23,6 @@ type config = {
   public_optimization : bool;
   unique_optimization : bool;
   cross_joins : bool;
-  optimize_queries : bool;
-      (* execute through the cost-based plan optimizer ({!Optimizer}), with
-         the sensitivity metrics doubling as cardinality statistics; the
-         privacy analysis always sees the original AST *)
   explain_estimates : bool;
       (* render ~N cardinality annotations in EXPLAIN responses and serve
          EXPLAIN ANALYZE at all; off by default because estimates are seeded
@@ -64,7 +60,6 @@ let default_config =
     public_optimization = true;
     unique_optimization = true;
     cross_joins = false;
-    optimize_queries = true;
     explain_estimates = false;
     telemetry = true;
     release_cache = true;
@@ -73,16 +68,47 @@ let default_config =
     flight_capacity = 256;
   }
 
-(* The write-side instruments; scrape-time values (budgets, cache, pool)
-   register collect callbacks instead — see [register_collectors]. *)
+(* The request counters. The server owns one atomic cell per counter
+   ([int Atomic.t counts]) whether telemetry is on or off; [counters],
+   [stats_report] and the registry's flex_*_total families all read those
+   same cells, and [conclude] is the only writer. *)
+type 'a counts = {
+  queries : 'a;
+  granted : 'a;
+  replayed : 'a;
+  derived : 'a;
+  rejected : 'a;
+  rate_limited : 'a;
+  refused : 'a;
+  failed : 'a;
+}
+
+type counters = int counts
+
+(* The registry family each cell is scraped as, in registration order. *)
+let counter_families (c : _ counts) =
+  [
+    ("flex_queries_total", "Query requests seen", c.queries);
+    ("flex_granted_total", "Queries granted a noisy release", c.granted);
+    ("flex_replayed_total", "Queries served from the release store (zero budget)", c.replayed);
+    ( "flex_release_derived_total",
+      "Queries answered by post-processing a stored release (materialized-view \
+       derivation, zero budget)",
+      c.derived );
+    ("flex_rejected_total", "Queries rejected (parse/unsupported/admission/other)", c.rejected);
+    ( "flex_rate_limited_total",
+      "Queries rejected by the per-analyst token-bucket rate limit",
+      c.rate_limited );
+    ("flex_refused_total", "Queries refused by the budget ledger", c.refused);
+    ( "flex_failed_total",
+      "Queries that failed after admission, audited with any charge they incurred",
+      c.failed );
+  ]
+
+(* The write-side instruments. Scrape-time values register collect
+   callbacks instead: the counter cells here, budgets, cache and pool in
+   [register_collectors]. *)
 type instruments = {
-  m_queries : Registry.Counter.t;
-  m_granted : Registry.Counter.t;
-  m_replayed : Registry.Counter.t;
-  m_derived : Registry.Counter.t;
-  m_rejected : Registry.Counter.t;
-  m_rate_limited : Registry.Counter.t;
-  m_refused : Registry.Counter.t;
   m_latency : Registry.Histogram.t;
   m_stage : (string list * Registry.Histogram.t) list;
       (* span path in the query trace -> stage histogram *)
@@ -120,49 +146,25 @@ type t = {
   statements : Statements.t option;
   flights : Flight.t option;
   start_ns : float;
-  lock : Mutex.t;  (* guards counters and rng splitting *)
-  mutable queries : int;
-  mutable granted : int;
-  mutable replayed : int;
-  mutable derived : int;
-  mutable rejected : int;
-  mutable rate_limited : int;
-  mutable refused : int;
+  lock : Mutex.t;  (* guards the data epoch and rng splitting *)
+  counts : int Atomic.t counts;
 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let instr t f = match t.instruments with Some i -> f i | None -> ()
-
-let make_instruments reg =
+let make_instruments counts reg =
+  List.iter
+    (fun (name, help, cell) ->
+      Registry.collect reg ~help ~kind:`Counter name (fun () ->
+          [ ([], float_of_int (Atomic.get cell)) ]))
+    (counter_families counts);
   let stage name =
     Registry.histogram reg ~help:"Query pipeline stage latency in seconds"
       ~labels:[ ("stage", name) ] "flex_stage_seconds"
   in
   {
-    m_queries = Registry.counter reg ~help:"Query requests seen" "flex_queries_total";
-    m_granted =
-      Registry.counter reg ~help:"Queries granted a noisy release" "flex_granted_total";
-    m_replayed =
-      Registry.counter reg ~help:"Queries served from the release store (zero budget)"
-        "flex_replayed_total";
-    m_derived =
-      Registry.counter reg
-        ~help:
-          "Queries answered by post-processing a stored release (materialized-view \
-           derivation, zero budget)"
-        "flex_release_derived_total";
-    m_rejected =
-      Registry.counter reg ~help:"Queries rejected (parse/unsupported/admission/other)"
-        "flex_rejected_total";
-    m_rate_limited =
-      Registry.counter reg
-        ~help:"Queries rejected by the per-analyst token-bucket rate limit"
-        "flex_rate_limited_total";
-    m_refused =
-      Registry.counter reg ~help:"Queries refused by the budget ledger" "flex_refused_total";
     m_latency =
       Registry.histogram reg ~help:"End-to-end query latency in seconds" "flex_query_seconds";
     m_stage =
@@ -185,9 +187,7 @@ let register_collectors t reg =
   Registry.collect reg ~help:"Seconds since the server was created" ~kind:`Gauge
     "flex_uptime_seconds" (fun () -> [ ([], uptime_seconds t) ]);
   Registry.collect reg ~help:"Query requests per second since start" ~kind:`Gauge "flex_qps"
-    (fun () ->
-      let q = with_lock t (fun () -> t.queries) in
-      [ ([], float_of_int q /. uptime_seconds t) ]);
+    (fun () -> [ ([], float_of_int (Atomic.get t.counts.queries) /. uptime_seconds t) ]);
   Registry.collect reg ~help:"Per-analyst remaining epsilon budget" ~kind:`Gauge
     "flex_analyst_remaining_epsilon" (fun () ->
       List.map
@@ -313,6 +313,18 @@ let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?
       Some (match release_store with Some s -> s | None -> Release_store.create ())
     else None
   in
+  let counts =
+    {
+      queries = Atomic.make 0;
+      granted = Atomic.make 0;
+      replayed = Atomic.make 0;
+      derived = Atomic.make 0;
+      rejected = Atomic.make 0;
+      rate_limited = Atomic.make 0;
+      refused = Atomic.make 0;
+      failed = Atomic.make 0;
+    }
+  in
   let t =
     {
       config;
@@ -329,7 +341,7 @@ let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?
       rng;
       pool;
       registry;
-      instruments = Option.map make_instruments registry;
+      instruments = Option.map (make_instruments counts) registry;
       statements =
         (if config.telemetry then
            Some (Statements.create ~capacity:config.statement_capacity ())
@@ -339,13 +351,7 @@ let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?
          else None);
       start_ns = Clock.now_ns ();
       lock = Mutex.create ();
-      queries = 0;
-      granted = 0;
-      replayed = 0;
-      derived = 0;
-      rejected = 0;
-      rate_limited = 0;
-      refused = 0;
+      counts;
     }
   in
   Option.iter (register_collectors t) registry;
@@ -360,6 +366,9 @@ let bucket_string reason =
   | Errors.Parse_bucket -> "parse"
   | Errors.Unsupported_bucket -> "unsupported"
   | Errors.Other_bucket -> "other"
+
+let wire_rejection reason =
+  Wire.Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
 
 let base_event ?id ~analyst ~sql () : Audit.event =
   {
@@ -391,13 +400,15 @@ let finalize t root (base : Audit.event) : Audit.event * Span.view option =
     Span.finish r;
     let v = Span.view r in
     let d path = Span.duration_of v path in
-    instr t (fun i ->
+    Option.iter
+      (fun i ->
         Registry.Histogram.observe i.m_latency (d [] /. 1e9);
         List.iter
           (fun (path, h) ->
             if Option.is_some (Span.find v path) then
               Registry.Histogram.observe h (d path /. 1e9))
-          i.m_stage);
+          i.m_stage)
+      t.instruments;
     ( {
         base with
         parse_ns = d [ "parse" ];
@@ -409,40 +420,22 @@ let finalize t root (base : Audit.event) : Audit.event * Span.view option =
       },
       Some v )
 
-let statement_outcome : Audit.outcome -> Statements.outcome option = function
-  | Audit.Granted -> Some `Granted
-  | Audit.Replayed -> Some `Replayed
-  | Audit.Derived -> Some `Derived
-  | Audit.Rejected _ -> Some `Rejected
-  | Audit.Refused -> Some `Refused
-  | Audit.Failed -> Some `Failed
-  | Audit.Analyzed -> None
-
-let outcome_string : Audit.outcome -> string = function
-  | Audit.Granted -> "granted"
-  | Audit.Replayed -> "replayed"
-  | Audit.Derived -> "derived"
-  | Audit.Rejected bucket -> "rejected:" ^ bucket
-  | Audit.Refused -> "refused"
-  | Audit.Failed -> "failed"
-  | Audit.Analyzed -> "analyzed"
-
 (* Fold one finished request into the flight recorder and (when its
    canonical core key is known) the statement-statistics table. Pure
    observation — no RNG, no ledger, no result bytes — so releases are
    bit-identical recorder on or off. [event] is the final audit event
    (outcome and timings settled); [view] the closed span tree, if any. *)
-let record_obs t ?key ?(rows = 0) (event : Audit.event) (view : Span.view option) =
+let record_obs t ?key ~rows ~flight_outcome ~statement_outcome (event : Audit.event)
+    (view : Span.view option) =
   let now = Clock.now_ns () in
   Option.iter
     (fun fl ->
       Flight.record fl ~ts_ns:now ?id:event.request_id ~analyst:event.analyst
-        ~sql:event.sql ?key ~outcome:(outcome_string event.outcome)
-        ~epsilon:event.epsilon ~delta:event.delta ~duration_ns:event.total_ns
-        ?trace:view ())
+        ~sql:event.sql ?key ~outcome:flight_outcome ~epsilon:event.epsilon
+        ~delta:event.delta ~duration_ns:event.total_ns ?trace:view ())
     t.flights;
-  match (key, t.statements, statement_outcome event.outcome) with
-  | Some key, Some st, Some outcome ->
+  match (key, t.statements) with
+  | Some key, Some st ->
     let stages =
       match view with
       | None -> []
@@ -452,7 +445,8 @@ let record_obs t ?key ?(rows = 0) (event : Audit.event) (view : Span.view option
             if c.duration_ns > 0.0 then Some (c.name, c.duration_ns) else None)
           v.children
     in
-    Statements.record st ~now_ns:now ~key ~outcome ~stages ~rows ~epsilon:event.epsilon
+    Statements.record st ~now_ns:now ~key ~outcome:statement_outcome ~stages ~rows
+      ~epsilon:event.epsilon
       ~delta:event.delta ~total_ns:event.total_ns ()
   | _ -> ()
 
@@ -503,9 +497,6 @@ let release_flags (o : Flex.options) =
     (match o.smoothing with `Smooth -> "smooth" | `Elastic_k0 -> "elastic_k0")
     (match o.noise with `Laplace -> "laplace" | `Cauchy -> "cauchy")
 
-let parse sql =
-  match Parser.parse sql with Ok ast -> Ok ast | Error e -> Error (Errors.Parse_error e)
-
 let budget_report t analyst =
   match Ledger.summary t.ledger ~analyst with
   | Some s ->
@@ -540,37 +531,128 @@ let handle_hello t session ~analyst ~epsilon ~delta =
            existing.epsilon existing.delta))
   | Error err -> Wire.Error_msg (Ledger.error_to_string err)
 
-let reject t ~root ~(base : Audit.event) ?key reason =
-  let bucket = bucket_string reason in
-  with_lock t (fun () -> t.rejected <- t.rejected + 1);
-  instr t (fun i -> Registry.Counter.incr i.m_rejected);
-  let finalized, view = finalize t root base in
-  let event = { finalized with outcome = Audit.Rejected bucket } in
-  Audit.log t.audit event;
-  record_obs t ?key event view;
-  Wire.Rejected { bucket; reason = Errors.to_string reason }
+(* {2 The query pipeline}
+
+   [handle_query] runs a [Query] request through stages: admit, parse,
+   canonicalize, replay, analyse, pre-check, execute, charge, perturb and
+   journal. Each stage either hands its result to the next or ends the
+   request with an [outcome], and [conclude] alone turns that outcome into
+   bookkeeping: [queries] plus exactly one outcome counter, the closed span
+   tree, one audit event, one flight record and the wire reply. *)
+
+type outcome =
+  | Answered of {
+      how : [ `Granted | `Replayed | `Derived ];
+      entry : Release_store.entry;  (* the release the answer was computed from *)
+      columns : string list;
+      rows : Flex_engine.Value.t array list;
+      remaining : float * float;
+    }
+  | Rejected of { bucket : string; reason : string }
+  | Refused of { requested : float * float; remaining : float * float }
+  | Failed of string
+
+(* One request in flight: what [conclude] needs besides the outcome. [key]
+   is known once the query is canonicalized, [cache_hit] once it is
+   analysed or replayed, and [charged] once the ledger has journaled its
+   cost — the audit event carries exactly that charge, whatever the
+   outcome, so the audit log's epsilon sums to the ledger's. *)
+type request = {
+  base : Audit.event;
+  root : Span.t option;
+  mutable key : string option;
+  mutable cache_hit : bool;
+  mutable charged : float * float;
+}
+
+let request ?id ?root ~analyst ~sql () =
+  let base = base_event ?id ~analyst ~sql () in
+  { base; root; key = None; cache_hit = false; charged = (0.0, 0.0) }
+
+let rejected reason = Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
+let failed exn = Failed ("internal error: " ^ Printexc.to_string exn)
 
 (* The ledger said no, before execution or at the charge: an exhausted
    budget is a typed refusal carrying what is left, logged with zero spend
-   and never accompanied by a noisy value. *)
-let ledger_denied t ~root ~base ~key (err : Ledger.error) =
-  match err with
+   and never accompanied by a noisy value. Any other ledger error fails
+   the request. *)
+let denied : Ledger.error -> outcome = function
   | Ledger.Exhausted e ->
-    with_lock t (fun () -> t.refused <- t.refused + 1);
-    instr t (fun i -> Registry.Counter.incr i.m_refused);
-    let finalized, view = finalize t root base in
-    let event = { finalized with outcome = Audit.Refused } in
-    Audit.log t.audit event;
-    record_obs t ~key event view;
+    Refused
+      {
+        requested = (e.requested_epsilon, e.requested_delta);
+        remaining = (e.remaining_epsilon, e.remaining_delta);
+      }
+  | err -> Failed (Ledger.error_to_string err)
+
+let reply req = function
+  | Answered a ->
+    Wire.Result
+      {
+        columns = a.columns;
+        rows = List.map (fun row -> List.map Wire.json_of_value (Array.to_list row)) a.rows;
+        epsilon_spent = fst req.charged;
+        delta_spent = snd req.charged;
+        remaining_epsilon = fst a.remaining;
+        remaining_delta = snd a.remaining;
+        cache_hit = req.cache_hit;
+        cached = a.how <> `Granted;
+        derived = a.how = `Derived;
+        bins_enumerated = a.entry.bins_enumerated;
+        noise_scales = a.entry.noise_scales;
+      }
+  | Rejected { bucket; reason } -> Wire.Rejected { bucket; reason }
+  | Refused { requested = requested_epsilon, requested_delta; remaining } ->
     Wire.Refused
       {
-        analyst = e.analyst;
-        requested_epsilon = e.requested_epsilon;
-        requested_delta = e.requested_delta;
-        remaining_epsilon = e.remaining_epsilon;
-        remaining_delta = e.remaining_delta;
+        analyst = req.base.analyst;
+        requested_epsilon;
+        requested_delta;
+        remaining_epsilon = fst remaining;
+        remaining_delta = snd remaining;
       }
-  | err -> Wire.Error_msg (Ledger.error_to_string err)
+  | Failed reason -> Wire.Error_msg reason
+
+(* The one exit of every query-op request. Each outcome names the counter
+   it moves and how the audit log, the flight recorder and the statement
+   table call it. *)
+let conclude t req outcome =
+  let c = t.counts in
+  let counter, audited, flight_outcome, statement_outcome =
+    match outcome with
+    | Answered { how = `Granted; _ } -> (c.granted, Audit.Granted, "granted", `Granted)
+    | Answered { how = `Replayed; _ } -> (c.replayed, Audit.Replayed, "replayed", `Replayed)
+    | Answered { how = `Derived; _ } -> (c.derived, Audit.Derived, "derived", `Derived)
+    | Rejected { bucket; _ } ->
+      (c.rejected, Audit.Rejected bucket, "rejected:" ^ bucket, `Rejected)
+    | Refused _ -> (c.refused, Audit.Refused, "refused", `Refused)
+    | Failed _ -> (c.failed, Audit.Failed, "failed", `Failed)
+  in
+  Atomic.incr c.queries;
+  Atomic.incr counter;
+  (match outcome with
+  | Rejected { bucket = "rate_limit"; _ } -> Atomic.incr c.rate_limited
+  | _ -> ());
+  let finalized, view = finalize t req.root { req.base with cache_hit = req.cache_hit } in
+  let max_noise_scale, rows =
+    match outcome with
+    | Answered a ->
+      ( List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0 a.entry.noise_scales,
+        List.length a.rows )
+    | _ -> (0.0, 0)
+  in
+  let event =
+    {
+      finalized with
+      outcome = audited;
+      epsilon = fst req.charged;
+      delta = snd req.charged;
+      max_noise_scale;
+    }
+  in
+  Audit.log t.audit event;
+  record_obs t ?key:req.key ~rows ~flight_outcome ~statement_outcome event view;
+  reply req outcome
 
 (* EXPLAIN ANALYZE: execute the plan and render per-operator row counts and
    timings. The execution itself is the disclosure: per-operator elapsed
@@ -585,313 +667,33 @@ let analyzed_plan t session ~sql ast =
   match session.analyst with
   | None -> Wire.Error_msg "no analyst: send hello first"
   | Some analyst ->
-    let base = base_event ~analyst ~sql () in
-    if not t.config.explain_estimates then begin
-      Audit.log t.audit { base with outcome = Audit.Rejected "admission" };
-      Wire.Rejected
-        {
-          bucket = "admission";
-          reason =
-            "EXPLAIN ANALYZE executes the query against the private database \
-             and is only served when the deployment opts in via \
-             explain_estimates (flex_serve --explain-estimates)";
-        }
-    end
-    else begin
-      let reject reason =
-        Audit.log t.audit { base with outcome = Audit.Rejected (bucket_string reason) };
-        Wire.Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
-      in
-      match
-        Flex_engine.Executor.explain_analyze ?pool:t.pool ~optimize:t.config.optimize_queries
-          ~metrics:t.metrics ~show_rows:true t.db ast
-      with
-      | plan, _ ->
-        Audit.log t.audit { base with outcome = Audit.Analyzed };
-        Wire.Analyzed_report { plan }
-      | exception Flex_engine.Executor.Error m ->
-        reject (Errors.Analysis_error ("execution: " ^ m))
-      | exception Flex_engine.Eval.Error m ->
-        reject (Errors.Analysis_error ("evaluation: " ^ m))
-      | exception Flex_engine.Aggregate.Error m ->
-        reject (Errors.Analysis_error ("aggregation: " ^ m))
-    end
-
-(* Token-bucket admission: a scheduling decision ahead of everything else
-   (no parse, no analysis, no ledger), so a runaway dashboard is turned
-   away at the door instead of queueing work. The denial is audit-logged —
-   operators tune --rate-limit from these events and the
-   flex_rate_limited_total counter. *)
-let rate_limited t ~analyst =
-  match t.limiter with
-  | None -> false
-  | Some rl -> not (Rate_limit.allow rl ~key:analyst)
-
-let handle_query t session ~sql ~epsilon ~delta ~id =
-  match session.analyst with
-  | None -> Wire.Error_msg "no analyst: send hello first"
-  | Some analyst when rate_limited t ~analyst ->
-    with_lock t (fun () ->
-        t.queries <- t.queries + 1;
-        t.rejected <- t.rejected + 1;
-        t.rate_limited <- t.rate_limited + 1);
-    instr t (fun i ->
-        Registry.Counter.incr i.m_queries;
-        Registry.Counter.incr i.m_rejected;
-        Registry.Counter.incr i.m_rate_limited);
-    let event =
-      { (base_event ?id ~analyst ~sql ()) with outcome = Audit.Rejected "rate_limit" }
+    let reject reason = (Audit.Rejected (bucket_string reason), wire_rejection reason) in
+    let outcome, response =
+      if not t.config.explain_estimates then
+        ( Audit.Rejected "admission",
+          Wire.Rejected
+            {
+              bucket = "admission";
+              reason =
+                "EXPLAIN ANALYZE executes the query against the private database \
+                 and is only served when the deployment opts in via \
+                 explain_estimates (flex_serve --explain-estimates)";
+            } )
+      else
+        match
+          Flex_engine.Executor.explain_analyze ?pool:t.pool ~optimize:true ~metrics:t.metrics
+            ~show_rows:true t.db ast
+        with
+        | plan, _ -> (Audit.Analyzed, Wire.Analyzed_report { plan })
+        | exception Flex_engine.Executor.Error m ->
+          reject (Errors.Analysis_error ("execution: " ^ m))
+        | exception Flex_engine.Eval.Error m ->
+          reject (Errors.Analysis_error ("evaluation: " ^ m))
+        | exception Flex_engine.Aggregate.Error m ->
+          reject (Errors.Analysis_error ("aggregation: " ^ m))
     in
-    Audit.log t.audit event;
-    record_obs t event None;
-    Wire.Rejected
-      {
-        bucket = "rate_limit";
-        reason =
-          Printf.sprintf
-            "analyst %S exceeded the per-analyst rate limit (%g queries/s); retry later"
-            analyst
-            (match t.limiter with Some rl -> Rate_limit.qps rl | None -> 0.0);
-      }
-  | Some analyst -> (
-    with_lock t (fun () -> t.queries <- t.queries + 1);
-    instr t (fun i -> Registry.Counter.incr i.m_queries);
-    let epsilon = Option.value epsilon ~default:t.config.default_epsilon in
-    let delta = Option.value delta ~default:t.config.default_delta in
-    let base = base_event ?id ~analyst ~sql () in
-    match validate_privacy t ~epsilon ~delta with
-    | Error msg ->
-      with_lock t (fun () -> t.rejected <- t.rejected + 1);
-      instr t (fun i -> Registry.Counter.incr i.m_rejected);
-      let event = { base with outcome = Audit.Rejected "admission" } in
-      Audit.log t.audit event;
-      record_obs t event None;
-      Wire.Rejected { bucket = "admission"; reason = msg }
-    | Ok () -> (
-      let root = if t.config.telemetry then Some (Span.root "query") else None in
-      match Span.timed root "parse" (fun _ -> Parser.parse_statement sql) with
-      | Ok (Flex_sql.Ast.Explain ast) ->
-        (* EXPLAIN typed where a query was expected: answer with the plans,
-           charge nothing *)
-        let logical, optimized =
-          Flex_engine.Optimizer.explain ~metrics:t.metrics
-            ~estimates:t.config.explain_estimates ast
-        in
-        Wire.Plan_report { logical; optimized }
-      | Ok (Flex_sql.Ast.Explain_analyze ast) -> analyzed_plan t session ~sql ast
-      | Error e -> reject t ~root ~base (Errors.Parse_error e)
-      | Ok (Flex_sql.Ast.Query ast) -> (
-        let options = options_for t ~epsilon ~delta in
-        let db, metrics, fingerprint = epoch t in
-        (* Factor into a releasable core + post-processing suffix. The store
-           is keyed on the core, so every HAVING/ORDER BY/LIMIT/projection
-           variant of one dashboard collides onto a single paid release;
-           without a store there is nothing to share the core through and the
-           original whole-query path applies unchanged. *)
-        let canon, fact =
-          Span.timed root "canon" (fun _ ->
-              fst
-                (Cache.find_or_compute t.canon_memo ~key:sql (fun () ->
-                     let fact =
-                       match t.release_store with
-                       | None -> None
-                       | Some _ -> Flex_sql.Factor.factor ast
-                     in
-                     match fact with
-                     | Some f -> (f.core_sql, fact)
-                     | None -> (Canon.cache_key ast, None))))
-        in
-        (* What actually analyzes/executes on a miss: the canonical core for
-           factorable queries (paying once for all its base aggregates), the
-           original AST otherwise. *)
-        let exec_ast = match fact with Some f -> f.core | None -> ast in
-        let release_key =
-          Release_store.key ~sql_canonical:canon ~fingerprint
-            ~flags:(release_flags options) ~epsilon ~delta
-        in
-        (* The analyst-visible answer for a stored (or just-minted) entry:
-           factored queries evaluate their suffix over the stored noisy rows
-           (restoring output names, order and arithmetic); everything else is
-           served verbatim. Suffix evaluation is deterministic, so a replay
-           of the same entry always reproduces the same bytes. *)
-        let answer_of (entry : Release_store.entry) =
-          match fact with
-          | None -> (entry.columns, entry.rows)
-          | Some f ->
-            let rs =
-              Flex.post_process f.suffix ~columns:entry.columns entry.rows
-            in
-            (rs.columns, rs.rows)
-        in
-        let wire_rows rows =
-          List.map (fun row -> List.map Wire.json_of_value (Array.to_list row)) rows
-        in
-        let is_derived =
-          match fact with Some f -> not (Flex_sql.Factor.trivial f) | None -> false
-        in
-        let replay =
-          match t.release_store with
-          | None -> None
-          | Some store ->
-            Span.timed root "replay" (fun _ -> Release_store.find store release_key)
-        in
-        match replay with
-        | Some (entry : Release_store.entry) -> (
-          (* Zero-budget answer: the core's bytes already left the server for
-             this (core, budget, epoch, mechanism); replaying them — or
-             evaluating a post-processing suffix over them — touches no
-             database, RNG or ledger. *)
-          match answer_of entry with
-          | exception (Flex_engine.Eval.Error _ | Flex_engine.Compiled.Error _) ->
-            reject t ~root ~base ~key:canon
-              (Errors.Analysis_error "post-processing suffix failed on the stored release")
-          | columns, rows ->
-            with_lock t (fun () ->
-                if is_derived then t.derived <- t.derived + 1
-                else t.replayed <- t.replayed + 1);
-            instr t (fun i ->
-                Registry.Counter.incr (if is_derived then i.m_derived else i.m_replayed));
-            let max_noise_scale =
-              List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0 entry.noise_scales
-            in
-            let remaining_epsilon, remaining_delta =
-              Option.value ~default:(0.0, 0.0) (Ledger.remaining t.ledger ~analyst)
-            in
-            let finalized, view = finalize t root { base with cache_hit = true } in
-            let event =
-              {
-                finalized with
-                outcome = (if is_derived then Audit.Derived else Audit.Replayed);
-                max_noise_scale;
-              }
-            in
-            Audit.log t.audit event;
-            record_obs t ~key:canon ~rows:(List.length rows) event view;
-            Wire.Result
-              {
-                columns;
-                rows = wire_rows rows;
-                epsilon_spent = 0.0;
-                delta_spent = 0.0;
-                remaining_epsilon;
-                remaining_delta;
-                cache_hit = true;
-                cached = true;
-                derived = is_derived;
-                bins_enumerated = entry.bins_enumerated;
-                noise_scales = entry.noise_scales;
-              })
-        | None -> (
-          let analyzed, cache_hit =
-            analyze_cached t ?span:root ~canon ~fingerprint ~metrics ~options exec_ast
-          in
-          let base = { base with cache_hit } in
-          match analyzed with
-          | Error reason -> reject t ~root ~base ~key:canon reason
-          | Ok analysis -> (
-            let column_releases = Flex.smooth_columns ?span:root ~options analysis in
-            let n = float_of_int (List.length column_releases) in
-            let cost_eps = epsilon *. n and cost_delta = delta *. n in
-            (* Refuse before executing: the cost is known from the query's
-               shape alone, and spending only grows, so a cost the budget
-               cannot afford now would be refused by the charge below too. *)
-            match
-              Ledger.check_spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta
-            with
-            | Error err -> ledger_denied t ~root ~base ~key:canon err
-            | Ok () -> (
-              match
-                Flex.execute ?span:root ?pool:t.pool ~optimize:t.config.optimize_queries
-                  ~metrics ~db exec_ast
-              with
-              | Error reason -> reject t ~root ~base ~key:canon reason
-              | Ok result_set -> (
-                (* The atomic gate: journal-then-charge before any noisy value
-                   exists, so refusal can never follow a release. *)
-                match
-                  Span.timed root "charge" (fun _ ->
-                      Ledger.spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta
-                        ~label:"flex-query")
-                with
-                | Error err -> ledger_denied t ~root ~base ~key:canon err
-                | Ok (remaining_epsilon, remaining_delta) ->
-                  let release =
-                    Flex.perturb ?span:root ~rng:session.rng ~options ~metrics ~db
-                      ~analysis ~column_releases result_set
-                  in
-                  with_lock t (fun () -> t.granted <- t.granted + 1);
-                  instr t (fun i -> Registry.Counter.incr i.m_granted);
-                  let noise_scales =
-                    List.map
-                      (fun (cr : Flex.column_release) -> (cr.name, cr.noise_scale))
-                      release.column_releases
-                  in
-                  (* Journal the release before responding (charge happened
-                     above): a crash after the charge but before the journal
-                     loses an answer nobody ever saw; a crash after the journal
-                     replays this exact entry forever. Either way, no second
-                     noise draw can leave the server for a charged key. If two
-                     sessions raced the same cold key, the store keeps the first
-                     and we respond with whatever it kept. *)
-                  let entry =
-                    {
-                      Release_store.key = release_key;
-                      fingerprint;
-                      analyst;
-                      epsilon;
-                      delta;
-                      epsilon_spent = cost_eps;
-                      delta_spent = cost_delta;
-                      columns = release.noisy.columns;
-                      rows = release.noisy.rows;
-                      bins_enumerated = release.bins_enumerated;
-                      noise_scales;
-                    }
-                  in
-                  let stored =
-                    match t.release_store with
-                    | None -> entry
-                    | Some store -> Release_store.record store entry
-                  in
-                  let max_noise_scale =
-                    List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0
-                      stored.noise_scales
-                  in
-                  match answer_of stored with
-                  | exception (Flex_engine.Eval.Error _ | Flex_engine.Compiled.Error _)
-                    ->
-                    (* The core is paid and journaled (the charge stands), but
-                       this request's suffix cannot evaluate over it. *)
-                    reject t ~root ~base ~key:canon
-                      (Errors.Analysis_error
-                         "post-processing suffix failed on the released core")
-                  | columns, rows ->
-                    let finalized, view = finalize t root base in
-                    let event =
-                      {
-                        finalized with
-                        outcome = Audit.Granted;
-                        epsilon = cost_eps;
-                        delta = cost_delta;
-                        max_noise_scale;
-                      }
-                    in
-                    Audit.log t.audit event;
-                    record_obs t ~key:canon ~rows:(List.length rows) event view;
-                    Wire.Result
-                      {
-                        columns;
-                        rows = wire_rows rows;
-                        epsilon_spent = cost_eps;
-                        delta_spent = cost_delta;
-                        remaining_epsilon;
-                        remaining_delta;
-                        cache_hit;
-                        cached = false;
-                        derived = false;
-                        bins_enumerated = stored.bins_enumerated;
-                        noise_scales = stored.noise_scales;
-                      })))))))
+    Audit.log t.audit { (base_event ~analyst ~sql ()) with outcome };
+    response
 
 (* EXPLAIN is free: it renders plan shapes without touching the database,
    so it is neither charged nor counted as a query. Because it is free, the
@@ -899,34 +701,221 @@ let handle_query t session ~sql ~epsilon ~delta ~id =
    are suppressed unless the deployment opts in via [explain_estimates]
    (i.e. declares table cardinalities public). An EXPLAIN ANALYZE prefix in
    the text routes to the executed-plan report, which additionally requires
-   hello (it touches the private data). *)
-let handle_explain t session ~sql =
-  match Parser.parse_statement sql with
-  | Error e ->
-    let reason = Errors.Parse_error e in
-    Wire.Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
-  | Ok (Flex_sql.Ast.Explain_analyze ast) -> analyzed_plan t session ~sql ast
-  | Ok (Flex_sql.Ast.Query ast) | Ok (Flex_sql.Ast.Explain ast) ->
+   hello (it touches the private data). The query op hands its EXPLAIN
+   statements here too. *)
+let explain_statement t session ~sql = function
+  | Flex_sql.Ast.Explain_analyze ast -> analyzed_plan t session ~sql ast
+  | Flex_sql.Ast.Query ast | Flex_sql.Ast.Explain ast ->
     let logical, optimized =
       Flex_engine.Optimizer.explain ~metrics:t.metrics
         ~estimates:t.config.explain_estimates ast
     in
     Wire.Plan_report { logical; optimized }
 
+let handle_explain t session ~sql =
+  match Parser.parse_statement sql with
+  | Error e -> wire_rejection (Errors.Parse_error e)
+  | Ok stmt -> explain_statement t session ~sql stmt
+
+(* Admission, ahead of everything else. The token bucket is a scheduling
+   decision (no parse, no analysis, no ledger), so a runaway dashboard is
+   turned away at the door instead of queueing work; operators tune
+   --rate-limit from its audit events and flex_rate_limited_total. The
+   privacy parameters come next: Flex.options would raise on out-of-range
+   values, and the per-query cap keeps any single request from draining an
+   analyst's budget in one bite. *)
+let admit t ~analyst ~epsilon ~delta =
+  match t.limiter with
+  | Some rl when not (Rate_limit.allow rl ~key:analyst) ->
+    Error
+      (Rejected
+         {
+           bucket = "rate_limit";
+           reason =
+             Printf.sprintf
+               "analyst %S exceeded the per-analyst rate limit (%g queries/s); retry later"
+               analyst (Rate_limit.qps rl);
+         })
+  | _ ->
+    validate_privacy t ~epsilon ~delta
+    |> Result.map_error (fun reason -> Rejected { bucket = "admission"; reason })
+
+(* Factor into a releasable core + post-processing suffix. The store is
+   keyed on the core, so every HAVING/ORDER BY/LIMIT/projection variant of
+   one dashboard collides onto a single paid release; without a store there
+   is nothing to share the core through and the original whole-query path
+   applies unchanged. *)
+let canonicalize t req ~sql ast =
+  Span.timed req.root "canon" (fun _ ->
+      fst
+        (Cache.find_or_compute t.canon_memo ~key:sql (fun () ->
+             let fact =
+               match t.release_store with
+               | None -> None
+               | Some _ -> Flex_sql.Factor.factor ast
+             in
+             match fact with
+             | Some f -> (f.core_sql, fact)
+             | None -> (Canon.cache_key ast, None))))
+
+(* The analyst-visible answer for a stored (or just-minted) release:
+   factored queries evaluate their suffix over the stored noisy rows
+   (restoring output names, order and arithmetic); everything else is
+   served verbatim. Suffix evaluation is deterministic, so a replay of the
+   same entry always reproduces the same bytes. *)
+let answer how fact ~remaining (entry : Release_store.entry) =
+  match (fact : Flex_sql.Factor.t option) with
+  | None -> Answered { how; entry; columns = entry.columns; rows = entry.rows; remaining }
+  | Some f -> (
+    match Flex.post_process f.suffix ~columns:entry.columns entry.rows with
+    | rs -> Answered { how; entry; columns = rs.columns; rows = rs.rows; remaining }
+    | exception (Flex_engine.Eval.Error _ | Flex_engine.Compiled.Error _) ->
+      rejected
+        (Errors.Analysis_error
+           (match how with
+           | `Granted -> "post-processing suffix failed on the released core"
+           | `Replayed | `Derived -> "post-processing suffix failed on the stored release")))
+
+(* Zero-budget answer: the core's bytes already left the server for this
+   (core, budget, epoch, mechanism); replaying them — or evaluating a
+   post-processing suffix over them — touches no database, RNG or ledger. *)
+let replay t req ~analyst fact release_key =
+  match t.release_store with
+  | None -> None
+  | Some store ->
+    Span.timed req.root "replay" (fun _ -> Release_store.find store release_key)
+    |> Option.map (fun entry ->
+           req.cache_hit <- true;
+           let how =
+             match fact with
+             | Some f when not (Flex_sql.Factor.trivial f) -> `Derived
+             | _ -> `Replayed
+           in
+           answer how fact entry
+             ~remaining:(Option.value ~default:(0.0, 0.0) (Ledger.remaining t.ledger ~analyst)))
+
+(* A parsed query from canonicalization to its outcome; each [let*] is a
+   stage that either hands on its result or ends the request. *)
+let run_query t session req ~analyst ~sql ~epsilon ~delta ast =
+  let ( let* ) r f = match r with Ok x -> f x | Error outcome -> outcome in
+  let options = options_for t ~epsilon ~delta in
+  let db, metrics, fingerprint = epoch t in
+  let canon, fact = canonicalize t req ~sql ast in
+  req.key <- Some canon;
+  let release_key =
+    Release_store.key ~sql_canonical:canon ~fingerprint ~flags:(release_flags options)
+      ~epsilon ~delta
+  in
+  match replay t req ~analyst fact release_key with
+  | Some answered -> answered
+  | None ->
+    (* What analyzes/executes on a miss: the canonical core for factorable
+       queries (paying once for all its base aggregates), the original AST
+       otherwise. *)
+    let exec_ast = match fact with Some f -> f.core | None -> ast in
+    let analyzed, cache_hit =
+      analyze_cached t ?span:req.root ~canon ~fingerprint ~metrics ~options exec_ast
+    in
+    req.cache_hit <- cache_hit;
+    let* analysis = Result.map_error rejected analyzed in
+    let column_releases = Flex.smooth_columns ?span:req.root ~options analysis in
+    let n = float_of_int (List.length column_releases) in
+    let cost_eps = epsilon *. n and cost_delta = delta *. n in
+    (* Refuse before executing: the cost is known from the query's shape
+       alone, and spending only grows, so a cost the budget cannot afford
+       now would be refused by the charge below too. *)
+    let* () =
+      Result.map_error denied
+        (Ledger.check_spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta)
+    in
+    let* result_set =
+      Result.map_error rejected
+        (Flex.execute ?span:req.root ?pool:t.pool ~optimize:true ~metrics ~db exec_ast)
+    in
+    (* The atomic gate: journal-then-charge before any noisy value exists,
+       so refusal can never follow a release. From here on the request
+       carries its charge, whatever its outcome. *)
+    let* remaining =
+      Result.map_error denied
+        (Span.timed req.root "charge" (fun _ ->
+             Ledger.spend t.ledger ~analyst ~epsilon:cost_eps ~delta:cost_delta
+               ~label:"flex-query"))
+    in
+    req.charged <- (cost_eps, cost_delta);
+    let release =
+      Flex.perturb ?span:req.root ~rng:session.rng ~options ~metrics ~db ~analysis
+        ~column_releases result_set
+    in
+    (* Journal the release before responding: a crash after the charge but
+       before the journal loses an answer nobody ever saw; a crash after the
+       journal replays this exact entry forever. Either way, no second noise
+       draw can leave the server for a charged key. If two sessions raced
+       the same cold key, the store keeps the first and we respond with
+       whatever it kept. *)
+    let entry =
+      {
+        Release_store.key = release_key;
+        fingerprint;
+        analyst;
+        epsilon;
+        delta;
+        epsilon_spent = cost_eps;
+        delta_spent = cost_delta;
+        columns = release.noisy.columns;
+        rows = release.noisy.rows;
+        bins_enumerated = release.bins_enumerated;
+        noise_scales =
+          List.map
+            (fun (cr : Flex.column_release) -> (cr.name, cr.noise_scale))
+            release.column_releases;
+      }
+    in
+    let stored =
+      match t.release_store with
+      | None -> entry
+      | Some store -> Release_store.record store entry
+    in
+    answer `Granted fact ~remaining stored
+
+(* An exception anywhere past admission fails the request through
+   [conclude], audited with whatever it had been charged; [handle]'s
+   catch-all only guards [conclude] itself. An EXPLAIN typed where a query
+   was expected is not a query: it gets the explain op's answer, uncounted. *)
+let handle_query t session ~sql ~epsilon ~delta ~id =
+  match session.analyst with
+  | None -> Wire.Error_msg "no analyst: send hello first"
+  | Some analyst -> (
+    let epsilon = Option.value epsilon ~default:t.config.default_epsilon in
+    let delta = Option.value delta ~default:t.config.default_delta in
+    match admit t ~analyst ~epsilon ~delta with
+    | Error outcome -> conclude t (request ?id ~analyst ~sql ()) outcome
+    | Ok () -> (
+      let root = if t.config.telemetry then Some (Span.root "query") else None in
+      let req = request ?id ?root ~analyst ~sql () in
+      match Span.timed root "parse" (fun _ -> Parser.parse_statement sql) with
+      | exception exn -> conclude t req (failed exn)
+      | Ok ((Flex_sql.Ast.Explain _ | Flex_sql.Ast.Explain_analyze _) as stmt) ->
+        Option.iter Span.finish root;
+        explain_statement t session ~sql stmt
+      | Error e -> conclude t req (rejected (Errors.Parse_error e))
+      | Ok (Flex_sql.Ast.Query ast) ->
+        conclude t req
+          (try run_query t session req ~analyst ~sql ~epsilon ~delta ast
+           with exn -> failed exn)))
+
 let handle_analyze t ~sql =
   let options =
     options_for t ~epsilon:t.config.default_epsilon ~delta:t.config.default_delta
   in
-  match parse sql with
-  | Error reason -> Wire.Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
+  match Parser.parse sql with
+  | Error e -> wire_rejection (Errors.Parse_error e)
   | Ok ast -> (
     let _, metrics, fingerprint = epoch t in
     let analyzed, cache_hit =
       analyze_cached t ~canon:(Canon.cache_key ast) ~fingerprint ~metrics ~options ast
     in
     match analyzed with
-    | Error reason ->
-      Wire.Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
+    | Error reason -> wire_rejection reason
     | Ok analysis ->
       let columns =
         List.map
@@ -1014,9 +1003,21 @@ let json_of_registry ?(omit = []) reg : Json.t =
   in
   Json.Obj [ ("families", Json.List (List.map family families)) ]
 
+let counters t =
+  let c = t.counts in
+  {
+    queries = Atomic.get c.queries;
+    granted = Atomic.get c.granted;
+    replayed = Atomic.get c.replayed;
+    derived = Atomic.get c.derived;
+    rejected = Atomic.get c.rejected;
+    rate_limited = Atomic.get c.rate_limited;
+    refused = Atomic.get c.refused;
+    failed = Atomic.get c.failed;
+  }
+
 let stats_report t =
-  let c = with_lock t (fun () -> (t.queries, t.granted, t.rejected, t.refused)) in
-  let queries, granted, rejected, refused = c in
+  let c = counters t in
   let uptime = uptime_seconds t in
   let rs =
     match t.release_store with
@@ -1025,19 +1026,18 @@ let stats_report t =
   in
   let release_hits = match rs with Some s -> s.hits | None -> 0 in
   let release_misses = match rs with Some s -> s.misses | None -> 0 in
-  let release_derived = with_lock t (fun () -> t.derived) in
   Wire.Stats_report
     {
-      queries;
-      granted;
-      rejected;
-      refused;
+      queries = c.queries;
+      granted = c.granted;
+      rejected = c.rejected;
+      refused = c.refused;
       cache_hits = Cache.hits t.analysis_cache;
       cache_misses = Cache.misses t.analysis_cache;
       cache_entries = Cache.length t.analysis_cache;
       release_hits;
       release_misses;
-      release_derived;
+      release_derived = c.derived;
       release_evictions =
         (match rs with Some s -> s.evictions + s.stale_dropped | None -> 0);
       release_entries = (match rs with Some s -> s.entries | None -> 0);
@@ -1045,7 +1045,7 @@ let stats_report t =
         float_of_int release_hits /. float_of_int (max 1 (release_hits + release_misses));
       analysts = List.length (Ledger.analysts t.ledger);
       uptime_seconds = uptime;
-      qps = float_of_int queries /. uptime;
+      qps = float_of_int c.queries /. uptime;
       metrics =
         (match t.registry with
         | Some reg -> json_of_registry ~omit:wire_omitted_families reg
@@ -1067,52 +1067,19 @@ let handle t session req =
     | Quit -> Wire.Bye
   with exn -> Wire.Error_msg ("internal error: " ^ Printexc.to_string exn)
 
-let handle_line t session line =
-  match Wire.request_of_line line with
-  | Error msg -> Wire.response_to_line (Wire.Error_msg msg)
-  | Ok req -> Wire.response_to_line ?id:(Wire.request_id req) (handle t session req)
-
-type counters = {
-  queries : int;
-  granted : int;
-  replayed : int;
-  derived : int;
-  rejected : int;
-  rate_limited : int;
-  refused : int;
-}
-
-let counters t =
-  with_lock t (fun () ->
-      {
-        queries = t.queries;
-        granted = t.granted;
-        replayed = t.replayed;
-        derived = t.derived;
-        rejected = t.rejected;
-        rate_limited = t.rate_limited;
-        refused = t.refused;
-      })
-
 let session_analyst (s : session) = s.analyst
 
-(* The reactor sheds a request it never parsed (worker queue full): record
-   the refusal in the audit log like every other admission decision. The
-   raw line stands in for the SQL — truncated, it may not even be JSON. *)
+(* The reactor sheds a request it never parsed (worker queue full): it
+   concludes like every other admission decision, and the reactor sends its
+   own precomputed reply. The raw line stands in for the SQL — truncated,
+   it may not even be JSON. *)
 let log_overload t ~analyst ~line =
   let sql =
     if String.length line <= 200 then line else String.sub line 0 200 ^ "..."
   in
-  with_lock t (fun () -> t.rejected <- t.rejected + 1);
-  instr t (fun i -> Registry.Counter.incr i.m_rejected);
-  let event =
-    {
-      (base_event ~analyst:(Option.value analyst ~default:"") ~sql ()) with
-      outcome = Audit.Rejected "overload";
-    }
-  in
-  Audit.log t.audit event;
-  record_obs t event None
+  let req = request ~analyst:(Option.value analyst ~default:"") ~sql () in
+  let reason = "server overloaded: request queue is full, retry later" in
+  ignore (conclude t req (Rejected { bucket = "overload"; reason }))
 
 let cache t = t.analysis_cache
 let release_store t = t.release_store
@@ -1133,112 +1100,3 @@ let refresh_data t ~db ~metrics =
   match t.release_store with
   | None -> 0
   | Some store -> Release_store.invalidate_epoch store ~keep:(Metrics.fingerprint metrics)
-
-(* {2 TCP front end} *)
-
-type listener = {
-  server : t;
-  sock : Unix.file_descr;
-  lport : int;
-  idle_timeout : float;
-  llock : Mutex.t;
-  mutable running : bool;
-  mutable conns : (Unix.file_descr * Thread.t) list;
-  mutable accept_thread : Thread.t option;
-}
-
-let listen ?(backlog = 16) ?(port = 0) ?(idle_timeout = 300.0) t =
-  let sock = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.setsockopt sock SO_REUSEADDR true;
-  Unix.bind sock (ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock backlog;
-  let lport =
-    match Unix.getsockname sock with ADDR_INET (_, p) -> p | _ -> assert false
-  in
-  {
-    server = t;
-    sock;
-    lport;
-    idle_timeout;
-    llock = Mutex.create ();
-    running = true;
-    conns = [];
-    accept_thread = None;
-  }
-
-let port l = l.lport
-
-let conn_loop l fd =
-  let session = session l.server in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     let continue = ref true in
-     while !continue do
-       match input_line ic with
-       | exception (End_of_file | Sys_error _) -> continue := false
-       | line ->
-         let resp, id, stop =
-           match Wire.request_of_line line with
-           | Error msg -> (Wire.Error_msg msg, None, false)
-           | Ok req ->
-             (handle l.server session req, Wire.request_id req, req = Wire.Quit)
-         in
-         output_string oc (Wire.response_to_line ?id resp);
-         output_char oc '\n';
-         flush oc;
-         if stop then continue := false
-     done
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  Mutex.lock l.llock;
-  l.conns <- List.filter (fun (fd', _) -> fd' <> fd) l.conns;
-  Mutex.unlock l.llock;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
-  close_in_noerr ic (* closes [fd]; [oc] shares it and is already flushed *)
-
-let serve l =
-  let continue = ref true in
-  while !continue do
-    match Unix.accept l.sock with
-    | fd, _ ->
-      if not l.running then (try Unix.close fd with _ -> ())
-      else begin
-        (* one-JSON-line request/response: Nagle + delayed ACK would add a
-           round-trip of latency to every exchange *)
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        (* a dead or silent client may not pin this thread (and its fd)
-           forever: a blocked read gives up after the idle timeout, which
-           the reader below treats as a hangup *)
-        (if l.idle_timeout > 0.0 then
-           try Unix.setsockopt_float fd Unix.SO_RCVTIMEO l.idle_timeout
-           with Unix.Unix_error _ -> ());
-        Mutex.lock l.llock;
-        let th = Thread.create (fun () -> conn_loop l fd) () in
-        l.conns <- (fd, th) :: l.conns;
-        Mutex.unlock l.llock
-      end
-    | exception Unix.Unix_error _ -> if not l.running then continue := false
-  done
-
-let start l =
-  let th = Thread.create serve l in
-  l.accept_thread <- Some th;
-  th
-
-let stop l =
-  Mutex.lock l.llock;
-  let was_running = l.running in
-  l.running <- false;
-  let acc = l.accept_thread in
-  l.accept_thread <- None;
-  Mutex.unlock l.llock;
-  if was_running then begin
-    (* shutdown wakes a blocked accept (Linux), and keeps waking it: an
-       accept entered after this point fails immediately too. *)
-    (try Unix.shutdown l.sock Unix.SHUTDOWN_ALL with _ -> ());
-    (match acc with Some th -> Thread.join th | None -> ());
-    (try Unix.close l.sock with _ -> ());
-    let conns = Mutex.protect l.llock (fun () -> l.conns) in
-    List.iter (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()) conns;
-    List.iter (fun (_, th) -> try Thread.join th with _ -> ()) conns
-  end

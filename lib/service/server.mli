@@ -2,26 +2,40 @@
     that intercepts analysts' SQL, analyses it, charges a per-analyst budget
     and perturbs results before anything leaves the trusted side.
 
-    The request pipeline (per {!Wire.request} [Query]):
+    A {!Wire.request} [Query] runs through stages. Each hands its result on
+    or ends the request with an outcome, and one [conclude] turns every
+    outcome into the same bookkeeping:
 
-    + parse (trailing semicolons tolerated — analysts type them);
-    + canonicalize and look up / compute the elastic-sensitivity analysis
-      (memoized across analysts on canonical AST + metrics fingerprint +
-      option flags; rejections are cached verdicts too);
-    + admission: §3.7.1 typed rejections pass through as [Rejected] with
-      their §5.1 bucket; per-query epsilon above the configured cap is
-      rejected before touching the budget;
-    + smooth-sensitivity per column, execute on the shared read-only
-      database handle;
-    + atomically charge the ledger ([epsilon * aggregate-columns] under
-      basic composition) — an unaffordable request gets a typed [Refused]
-      and {e never} a noisy answer;
-    + perturb and release, audit-log the stage timings.
+    {v
+    admit > parse > canon > replay > analyse > pre-check > execute > charge > journal
+      \_____________________________________ | ___________________________________/
+                                            v
+       answered (granted | replayed | derived) | rejected | refused | failed
+                                            v
+       conclude: queries + one outcome counter, span tree closed,
+                 one audit event, one flight record, the wire reply
+    v}
+
+    - admit: the per-analyst token bucket, then the privacy parameters (an
+      epsilon above the per-query cap never touches the budget);
+    - parse tolerates trailing semicolons; an [EXPLAIN] here gets the
+      [Explain] op's answer and is not counted as a query;
+    - canon and replay: the query is factored into a releasable core and a
+      post-processing suffix, and a release-store hit on the core is
+      answered at zero budget;
+    - analyse: elastic sensitivity, memoized across analysts; §3.7.1 typed
+      rejections pass through with their §5.1 bucket;
+    - pre-check and charge: [epsilon * aggregate-columns] under basic
+      composition; an unaffordable request is [Refused] before execution
+      and {e never} gets a noisy answer;
+    - an exception past admission (a journal write that fails, say) is
+      [failed], audited with the charge already made, so the audit log's
+      epsilon always sums to the ledger's.
 
     [handle] is re-entrant: sessions can be driven concurrently from any
     number of threads (the ledger, cache and audit log carry their own
     locks; each session carries its own RNG). The TCP front end is
-    line-delimited JSON, one thread per connection. *)
+    {!Reactor}. *)
 
 module Database = Flex_engine.Database
 module Metrics = Flex_engine.Metrics
@@ -37,12 +51,6 @@ type config = {
   public_optimization : bool;
   unique_optimization : bool;
   cross_joins : bool;
-  optimize_queries : bool;
-      (** execute through the cost-based plan optimizer ({!Flex_engine.Optimizer}),
-          with the sensitivity metrics doubling as cardinality statistics; the
-          privacy analysis always sees the original AST. Releases are unchanged
-          up to row order and floating-point rounding (join reorder can
-          re-associate float SUM/AVG accumulation). *)
   explain_estimates : bool;
       (** render per-operator [~N rows] cardinality annotations in EXPLAIN
           responses — and serve EXPLAIN ANALYZE at all. Off by default:
@@ -112,8 +120,8 @@ val create :
   rng:Rng.t ->
   unit ->
   t
-(** [pool] is one shared domain pool for every session's query execution
-    (stage 3); sessions whose query arrives while the pool is busy simply
+(** [pool] is one shared domain pool for every session's query execution;
+    sessions whose query arrives while the pool is busy simply
     execute sequentially, so concurrent sessions never block each other.
     [registry] lets several servers (or the embedding process) share one
     metrics registry; a fresh one is created otherwise. Ignored when
@@ -137,29 +145,35 @@ val session_analyst : session -> string option
 val log_overload : t -> analyst:string option -> line:string -> unit
 (** Audit-log a request the connection layer shed before parsing (worker
     queue full): outcome [Rejected "overload"], the raw wire line standing
-    in for the SQL (truncated to 200 bytes). Counted under [rejected];
-    charges nothing. *)
+    in for the SQL (truncated to 200 bytes). Concludes like a query:
+    counted under [queries] and [rejected], charged nothing. *)
 
 val handle : t -> session -> Wire.request -> Wire.response
 (** Serve one request. Never raises. *)
 
-val handle_line : t -> session -> string -> string
-(** [handle] at the wire: JSON line in, JSON line out (malformed input
-    yields an [error] response line). *)
-
-type counters = {
-  queries : int;  (** Query requests seen *)
-  granted : int;  (** charged releases ({e excludes} replays and derivations) *)
-  replayed : int;  (** zero-budget exact replays from the release store *)
-  derived : int;
+type 'a counts = {
+  queries : 'a;
+      (** requests that reached an outcome: every [Query] past the hello
+          check (bar the [EXPLAIN]s handed to the explain op) and every
+          request the connection layer shed; the sum of the six outcomes *)
+  granted : 'a;  (** charged releases ({e excludes} replays and derivations) *)
+  replayed : 'a;  (** zero-budget exact replays from the release store *)
+  derived : 'a;
       (** zero-budget derivations: store hits answered by evaluating a
           post-processing suffix over the stored noisy rows *)
-  rejected : int;
-  rate_limited : int;
+  rejected : 'a;
+  rate_limited : 'a;
       (** the subset of [rejected] turned away by the per-analyst token
           bucket ([config.rate_limit_qps]) *)
-  refused : int;
+  refused : 'a;
+  failed : 'a;
+      (** failures after admission (a journal write error, an internal
+          exception), audited with whatever they had been charged *)
 }
+(** The server keeps one atomic cell per counter, telemetry on or off; the
+    registry's [flex_*_total] families read the same cells. *)
+
+type counters = int counts
 
 val counters : t -> counters
 val cache : t -> (Flex_core.Elastic.analysis, Flex_core.Errors.reason) result Cache.t
@@ -195,32 +209,3 @@ val refresh_data : t -> db:Database.t -> metrics:Metrics.t -> int
     the old epoch — a replayed answer must never outlive the data it
     described. Returns the number of releases stranded. In-flight requests
     finish against whichever epoch they snapshotted at admission. *)
-
-(** {2 TCP front end} *)
-
-type listener
-
-val listen : ?backlog:int -> ?port:int -> ?idle_timeout:float -> t -> listener
-(** Bind 127.0.0.1 (port 0 — the default — picks an ephemeral one).
-    Accepted sockets get [TCP_NODELAY] (the one-line request/response
-    protocol would otherwise pay Nagle/delayed-ACK latency every round
-    trip) and a receive timeout of [idle_timeout] seconds (default 300;
-    [0] disables), after which a silent client's connection is dropped —
-    a dead peer may not pin an fd and a thread forever.
-
-    This thread-per-connection front end is the baseline the event-driven
-    {!Reactor} is benchmarked against; prefer the reactor for high
-    connection counts. *)
-
-val port : listener -> int
-
-val serve : listener -> unit
-(** Accept loop in the calling thread; returns after {!stop}. *)
-
-val start : listener -> Thread.t
-(** [serve] on a background thread. *)
-
-val stop : listener -> unit
-(** Stop accepting, hang up every live connection, and join all connection
-    threads; pending requests finish first, so the ledger is quiescent when
-    this returns. Idempotent. *)

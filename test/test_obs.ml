@@ -10,8 +10,8 @@
    4. Privacy: DP releases are bit-identical with telemetry on and off,
       and the metrics surface never carries private-table cardinalities.
    5. Audit: one valid JSON object per line whatever the SQL contains,
-      stage timings non-negative with total >= each stage, and the
-      [count]/[events] rename keeps the deprecated alias working. *)
+      stage timings non-negative with total >= each stage, and [count]
+      counts every logged event. *)
 
 module Registry = Flex_obs.Registry
 module Clock = Flex_obs.Clock
@@ -34,12 +34,6 @@ module Audit = Flex_service.Audit
 module Stats_http = Flex_service.Stats_http
 module Statements = Flex_obs.Statements
 module Flight = Flex_obs.Flight
-
-[@@@warning "-3"]
-
-let audit_events_alias = Audit.events
-
-[@@@warning "+3"]
 
 (* --- registry ------------------------------------------------------------------- *)
 
@@ -242,13 +236,12 @@ let base_event sql : Audit.event =
 
 let audit_tests =
   [
-    Alcotest.test_case "count counts; deprecated events alias agrees" `Quick (fun () ->
+    Alcotest.test_case "count counts every logged event" `Quick (fun () ->
         let a = Audit.to_buffer (Buffer.create 64) in
         Alcotest.(check int) "empty" 0 (Audit.count a);
         Audit.log a (base_event "SELECT 1");
         Audit.log a (base_event "SELECT 2");
-        Alcotest.(check int) "count" 2 (Audit.count a);
-        Alcotest.(check int) "deprecated alias" 2 (audit_events_alias a));
+        Alcotest.(check int) "count" 2 (Audit.count a));
     Alcotest.test_case "one valid JSON object per line, any SQL" `Quick (fun () ->
         let buf = Buffer.create 256 in
         let a = Audit.to_buffer buf in

@@ -3,6 +3,8 @@ module Wire = Flex_service.Wire
 module Cache = Flex_service.Cache
 module Audit = Flex_service.Audit
 module Server = Flex_service.Server
+module Reactor = Flex_service.Reactor
+module Release_store = Flex_service.Release_store
 module Ledger = Flex_dp.Ledger
 module Budget = Flex_dp.Budget
 module Rng = Flex_dp.Rng
@@ -825,6 +827,266 @@ let early_refusal_tests =
         Alcotest.(check int) "journaled spends" 7 (Ledger.spends ledger ~analyst:"team"));
   ]
 
+(* --- every request concludes exactly once ---------------------------------------- *)
+
+(* Point every descriptor this process holds on [path] at /dev/full, so the
+   journal's next flush fails with ENOSPC as on a full disk. The channel
+   keeps its unflushable bytes: its owner must never be closed afterwards. *)
+let fill_disk_under path =
+  let target = Unix.realpath path in
+  let fds =
+    Sys.readdir "/proc/self/fd" |> Array.to_list
+    |> List.filter (fun n ->
+           match Unix.readlink ("/proc/self/fd/" ^ n) with
+           | link -> link = target
+           | exception Unix.Unix_error _ -> false)
+  in
+  if fds = [] then Alcotest.failf "no descriptor open on %s" path;
+  let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
+  List.iter
+    (fun n ->
+      (* a Unix.file_descr is the descriptor number itself on Unix *)
+      Unix.dup2 full (Obj.magic (int_of_string n : int) : Unix.file_descr))
+    fds;
+  Unix.close full
+
+let audit_events buf =
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> l <> "")
+  |> List.map Json.of_string_exn
+
+let str_field name j = Option.bind (Json.mem name j) Json.to_str
+
+(* The outcome a query-op reply reports, named like its audit outcome;
+   "rate_limit" is the [rejected] outcome that also moves [rate_limited]. *)
+let outcome_of_reply = function
+  | Wire.Result r when r.derived -> "derived"
+  | Wire.Result r when r.cached -> "replayed"
+  | Wire.Result _ -> "granted"
+  | Wire.Rejected { bucket = "rate_limit"; _ } -> "rate_limit"
+  | Wire.Rejected _ -> "rejected"
+  | Wire.Refused _ -> "refused"
+  | Wire.Error_msg _ -> "failed"
+  | other -> Alcotest.failf "not a query outcome: %s" (Wire.response_to_line other)
+
+let outcome_counters (c : Server.counters) =
+  [
+    ("granted", c.granted);
+    ("replayed", c.replayed);
+    ("derived", c.derived);
+    ("rejected", c.rejected);
+    ("rate_limited", c.rate_limited);
+    ("refused", c.refused);
+    ("failed", c.failed);
+  ]
+
+(* One analyst with a budget of 1.0 on a server with journaled ledger and
+   release store, an 8-query burst rate limit and EXPLAIN ANALYZE on. *)
+type probe = {
+  server : Server.t;
+  session : Server.session;
+  ledger : Ledger.t;
+  audit : Buffer.t;
+  ledger_path : string;
+  releases_path : string;
+}
+
+let probe_server ~telemetry =
+  let db, metrics = Lazy.force fixture in
+  let ledger_path = temp_journal () in
+  let releases_path = Filename.temp_file "flex-releases" ".journal" in
+  let ledger = Ledger.open_ ledger_path in
+  let store = Release_store.open_ ~fingerprint:(Metrics.fingerprint metrics) releases_path in
+  let audit = Buffer.create 4096 in
+  let config =
+    {
+      Server.default_config with
+      telemetry;
+      explain_estimates = true;
+      default_epsilon = 0.25;
+      rate_limit_qps = Some 8.0;
+    }
+  in
+  let server =
+    Server.create ~audit:(Audit.to_buffer audit) ~config ~release_store:store ~db ~metrics
+      ~ledger ~rng:(Rng.create ~seed:13 ()) ()
+  in
+  let session = Server.session server in
+  (match
+     Server.handle server session
+       (Wire.Hello { analyst = "probe"; epsilon = Some 1.0; delta = None })
+   with
+  | Wire.Budget_report _ -> ()
+  | other -> Alcotest.failf "hello: %s" (Wire.response_to_line other));
+  { server; session; ledger; audit; ledger_path; releases_path }
+
+let flights_recorded p =
+  Option.fold ~none:0 ~some:Flex_obs.Flight.recorded (Server.flights p.server)
+
+(* Run one request and return its reply and the audit events it added,
+   after checking what must hold after every request: the registry's
+   flex_*_total families equal [Server.counters], and the analyst's audit
+   epsilon sums to the ledger's spend bit for bit. *)
+let books p what request =
+  let audit_before = List.length (audit_events p.audit) in
+  let reply = request () in
+  let events = audit_events p.audit in
+  let c = Server.counters p.server in
+  Option.iter
+    (fun reg ->
+      let total name =
+        match
+          List.find_opt
+            (fun (f : Flex_obs.Registry.family) -> f.name = name)
+            (Flex_obs.Registry.snapshot reg)
+        with
+        | Some { samples = [ { value = Flex_obs.Registry.Sample v; _ } ]; _ } -> int_of_float v
+        | _ -> Alcotest.failf "no single-sample family %s" name
+      in
+      List.iter
+        (fun (name, value) -> Alcotest.(check int) (what ^ ": " ^ name) value (total name))
+        [
+          ("flex_queries_total", c.queries);
+          ("flex_granted_total", c.granted);
+          ("flex_replayed_total", c.replayed);
+          ("flex_release_derived_total", c.derived);
+          ("flex_rejected_total", c.rejected);
+          ("flex_rate_limited_total", c.rate_limited);
+          ("flex_refused_total", c.refused);
+          ("flex_failed_total", c.failed);
+        ])
+    (Server.registry p.server);
+  let audited =
+    List.fold_left
+      (fun acc e ->
+        match (str_field "analyst" e, Option.bind (Json.mem "epsilon" e) Json.to_num) with
+        | Some "probe", Some eps -> acc +. eps
+        | _ -> acc)
+      0.0 events
+  in
+  let spent = Option.fold ~none:Float.nan ~some:fst (Ledger.spent p.ledger ~analyst:"probe") in
+  if audited <> spent then
+    Alcotest.failf "%s: audit epsilon %h <> ledger spend %h" what audited spent;
+  (reply, List.filteri (fun i _ -> i >= audit_before) events)
+
+(* A query-op request that must conclude once: its reply is one of
+   [expect], it added one audit event with that outcome and (with
+   telemetry) one flight record, and [queries] plus exactly the matching
+   outcome counter moved by one. Returns the reply's outcome. *)
+let concludes p what expect request =
+  let before = Server.counters p.server and flights = flights_recorded p in
+  let reply, events = books p what request in
+  let outcome = outcome_of_reply reply in
+  if not (List.mem outcome expect) then
+    Alcotest.failf "%s: got %s: %s" what outcome (Wire.response_to_line reply);
+  let after = Server.counters p.server in
+  Alcotest.(check int) (what ^ ": queries") (before.queries + 1) after.queries;
+  let moved = if outcome = "rate_limit" then [ "rejected"; "rate_limited" ] else [ outcome ] in
+  List.iter2
+    (fun (name, b) (_, a) ->
+      Alcotest.(check int) (what ^ ": " ^ name) (if List.mem name moved then b + 1 else b) a)
+    (outcome_counters before) (outcome_counters after);
+  (match events with
+  | [ e ] ->
+    Alcotest.(check (option string)) (what ^ ": audit outcome")
+      (Some (if outcome = "rate_limit" then "rejected" else outcome))
+      (str_field "outcome" e)
+  | es -> Alcotest.failf "%s: %d audit events, expected 1" what (List.length es));
+  if Option.is_some (Server.flights p.server) then
+    Alcotest.(check int) (what ^ ": flight records") (flights + 1) (flights_recorded p);
+  (outcome, events)
+
+(* A request answered by the explain op's code: no counter moves, no
+   flight record, [audited] audit events (EXPLAIN ANALYZE's data access). *)
+let explains p what ~audited request =
+  let before = Server.counters p.server and flights = flights_recorded p in
+  let reply, events = books p what request in
+  Alcotest.(check bool) (what ^ ": no counter moved") true (before = Server.counters p.server);
+  Alcotest.(check int) (what ^ ": audit events") audited (List.length events);
+  Alcotest.(check int) (what ^ ": flight records") flights (flights_recorded p);
+  reply
+
+(* EXPLAIN ANALYZE renders wall-clock times; everything else must match. *)
+let mask_timings = function
+  | Wire.Analyzed_report { plan } ->
+    String.split_on_char '\n' plan
+    |> List.map (fun line ->
+           match Astring.String.find_sub ~rev:true ~sub:", " line with
+           | Some i when Astring.String.is_suffix ~affix:"ms)" line ->
+             String.sub line 0 i ^ ", _ms)"
+           | _ -> line)
+    |> String.concat "\n"
+  | other -> Wire.response_to_line other
+
+let every_request_concludes_once ~telemetry () =
+  let p = probe_server ~telemetry in
+  let q ?epsilon sql () = query ?epsilon p.server p.session sql in
+  let once what expect request = ignore (concludes p what [ expect ] request) in
+  let core = "SELECT t.status, COUNT(*) FROM trips t GROUP BY t.status" in
+  once "granted" "granted" (q core);
+  once "replayed" "replayed" (q "SELECT u.status, COUNT(*) FROM trips u GROUP BY u.status");
+  once "derived" "derived" (q (core ^ " ORDER BY 2 DESC LIMIT 2"));
+  once "parse error" "rejected" (q "SELEKT nope");
+  once "over the cap" "rejected" (q ~epsilon:50.0 "SELECT COUNT(*) FROM trips");
+  (* 1.0 is more than the 0.75 left: refused from the query's shape *)
+  once "unaffordable" "refused" (q ~epsilon:1.0 "SELECT COUNT(*) FROM drivers");
+  (match Option.map Flex_obs.Flight.snapshot (Server.flights p.server) with
+  | Some ({ outcome = "refused"; trace = Some v; _ } :: _) ->
+    Alcotest.(check bool) "refused before execution" false
+      (List.exists (fun (c : Flex_obs.Span.view) -> c.name = "execute") v.children)
+  | Some _ -> Alcotest.fail "expected the refusal's flight record, with its trace"
+  | None -> ());
+  (* EXPLAIN through the query op is the explain op's answer, not a query *)
+  List.iter
+    (fun (sql, audited) ->
+      let via_query = explains p sql ~audited (q sql) in
+      let via_explain =
+        explains p sql ~audited (fun () ->
+            Server.handle p.server p.session (Wire.Explain { sql }))
+      in
+      Alcotest.(check string) (sql ^ ": explain op's reply") (mask_timings via_explain)
+        (mask_timings via_query))
+    [ ("EXPLAIN " ^ core, 0); ("EXPLAIN ANALYZE " ^ core, 1) ];
+  (* replay until the token bucket runs dry *)
+  let rec until_limited n =
+    if n = 0 then Alcotest.fail "the rate limit never engaged";
+    match concludes p "replay burst" [ "replayed"; "rate_limit" ] (q core) with
+    | "rate_limit", _ -> ()
+    | _ -> until_limited (n - 1)
+  in
+  until_limited 1000;
+  Unix.sleepf 0.3 (* two tokens back *);
+  (* the release journal fails after the charge: the charge stands and is
+     audited on the failure *)
+  fill_disk_under p.releases_path;
+  let granted = (Server.counters p.server).granted in
+  (match concludes p "release journal full" [ "failed" ] (q "SELECT COUNT(*) FROM trips") with
+  | _, [ e ] ->
+    Alcotest.(check (option (float 0.0))) "failure carries the charge" (Some 0.25)
+      (Option.bind (Json.mem "epsilon" e) Json.to_num)
+  | _ -> Alcotest.fail "one audit event expected");
+  Alcotest.(check int) "no grant counted" granted (Server.counters p.server).granted;
+  (* the ledger journal fails: nothing is charged, nothing is released *)
+  fill_disk_under p.ledger_path;
+  let spent = Ledger.spent p.ledger ~analyst:"probe" in
+  (match concludes p "ledger journal full" [ "failed" ] (q "SELECT COUNT(*) FROM cities") with
+  | _, [ e ] ->
+    Alcotest.(check (option (float 0.0))) "failure charged nothing" (Some 0.0)
+      (Option.bind (Json.mem "epsilon" e) Json.to_num)
+  | _ -> Alcotest.fail "one audit event expected");
+  Alcotest.(check bool) "ledger unchanged" true (Ledger.spent p.ledger ~analyst:"probe" = spent);
+  (* the ledger and store now hold unflushable bytes: never close them *)
+  Sys.remove p.ledger_path;
+  Sys.remove p.releases_path
+
+let conclude_tests =
+  [
+    Alcotest.test_case "every request concludes exactly once" `Quick
+      (every_request_concludes_once ~telemetry:true);
+    Alcotest.test_case "every request concludes exactly once, telemetry off" `Quick
+      (every_request_concludes_once ~telemetry:false);
+  ]
+
 (* --- TCP smoke test ------------------------------------------------------------ *)
 
 let connect port =
@@ -858,11 +1120,11 @@ let tcp_tests =
               ~config:{ Server.default_config with release_cache = false }
               ~db ~metrics ~ledger ~rng:(Rng.create ~seed:5 ()) ()
           in
-          let listener = Server.listen server in
-          let _ = Server.start listener in
+          let reactor = Reactor.listen server in
+          ignore (Reactor.start reactor);
           let granted = Atomic.make 0 and refused = Atomic.make 0 in
           let client () =
-            let conn = connect (Server.port listener) in
+            let conn = connect (Reactor.port reactor) in
             (match roundtrip conn (Wire.Hello { analyst = "team"; epsilon = None; delta = None }) with
             | Wire.Budget_report _ -> ()
             | other -> Alcotest.failf "hello: %s" (Wire.response_to_line other));
@@ -882,7 +1144,7 @@ let tcp_tests =
           in
           let threads = List.init n_threads (fun _ -> Thread.create client ()) in
           List.iter Thread.join threads;
-          Server.stop listener;
+          Reactor.stop reactor;
           let spent = Ledger.spent ledger ~analyst:"team" in
           Ledger.close ledger;
           (Atomic.get granted, Atomic.get refused, spent)
@@ -910,19 +1172,6 @@ let tcp_tests =
         Alcotest.(check bool) "remaining unchanged" true
           (spent2 = spent);
         Sys.remove path);
-    Alcotest.test_case "stopped listener refuses new connections" `Quick (fun () ->
-        let server, _ = make_server () in
-        let listener = Server.listen server in
-        let _ = Server.start listener in
-        let conn = connect (Server.port listener) in
-        (match roundtrip conn Wire.Stats with
-        | Wire.Stats_report _ -> ()
-        | other -> Alcotest.failf "stats: %s" (Wire.response_to_line other));
-        Server.stop listener;
-        Server.stop listener (* idempotent *);
-        match connect (Server.port listener) with
-        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
-        | _conn -> Alcotest.fail "expected connection refused");
   ]
 
 let suites =
@@ -933,5 +1182,6 @@ let suites =
     ("service-ledger", ledger_tests);
     ("service-server", server_tests);
     ("service-early-refusal", early_refusal_tests);
+    ("service-conclude", conclude_tests);
     ("service-tcp", tcp_tests);
   ]
