@@ -2,8 +2,10 @@
    {!Optimizer.rewrite}, on shapes the rewrites target — a selective filter
    left above a fact/dimension join, a star join whose only selective
    predicate sits on the far dimension, a predicate that must sink into a
-   wide derived table, and a comma join written in an order that forces a
-   cross product unless the optimizer reorders it.
+   wide derived table, a comma join written in an order that forces a
+   cross product unless the optimizer reorders it, and the generated
+   workload's m:n self-join, whose smaller filtered left input makes the
+   optimizer hash the left side (build=left).
 
      dune exec bench/optimizer_perf.exe                 -- full run, writes BENCH_optimizer.json
      dune exec bench/optimizer_perf.exe -- --out FILE   -- choose the output path
@@ -117,6 +119,14 @@ let shapes =
       sql =
         "SELECT COUNT(*) FROM drivers d JOIN trips t ON t.driver_id = d.id, cities c \
          WHERE d.city_id = c.id AND c.name = 'seattle'";
+    };
+    {
+      sname = "build_left_join";
+      table = "trips";
+      sql =
+        "SELECT COUNT(*) FROM trips t JOIN trips t2 ON t.rider_id = t2.rider_id \
+         WHERE t.status = 'completed' AND t2.status = 'cancelled' \
+         AND t.requested_at >= '2016-03-01' AND t.requested_at < '2016-03-08'";
     };
   ]
 

@@ -2,22 +2,23 @@ module Ast = Flex_sql.Ast
 module Vec = Row_vec
 
 (* Columnar batch execution over {!Chunk} columns. The recognizer accepts a
-   subset of queries — single-table scans and left-deep INNER equijoins with
-   conjunctive filters, column projections/group keys, and the standard
-   aggregates — and runs them through vectorized kernels: filters become
-   selection vectors over typed arrays (no row materialisation), the hash
-   equijoin extracts keys column-wise (with the dense-int counting-sort fast
-   path of the row engine), GROUP BY aggregates accumulate into per-group
-   typed arrays, and ORDER BY+LIMIT runs {!Key_sort} top-K over column key
-   arrays. Everything else returns [None] and the row pipeline runs as
-   before.
+   subset of queries — single-table scans and left-deep INNER equijoins
+   (either hash-build orientation) with conjunctive filters, column
+   projections/group keys, and the standard aggregates — and runs them
+   through vectorized kernels: filters become selection vectors over typed
+   arrays (no row materialisation), the hash equijoin extracts keys
+   column-wise (with the dense-int counting-sort fast path of the row
+   engine), GROUP BY aggregates accumulate into per-group typed arrays, and
+   ORDER BY+LIMIT runs {!Key_sort} top-K over column key arrays. Everything
+   else returns [None] and the row pipeline runs as before.
 
    Bit-identity contract: for every accepted query, the result must be
    bit-identical to the row pipeline — same rows, same order, same float
    bits — because DP releases must not change when this engine is toggled.
    The kernels therefore replicate the row pipeline's evaluation orders
    exactly (probe-side row order in joins with build-row-order candidates,
-   first-appearance group order, ascending per-group accumulation, the
+   re-sorted to the probed table's row order when the plan builds on the
+   left, first-appearance group order, ascending per-group accumulation, the
    sort tiebreak on row index), and output cells are fetched as the
    already-boxed values of the original table rows wherever possible.
    Anywhere a divergence cannot be ruled out statically, the recognizer
@@ -54,6 +55,7 @@ type step = {
   s_table : Table.t;
   s_alias : string option;
   s_cond : Ast.expr option; (* ON condition joining this table to the prefix *)
+  s_build_left : bool; (* the plan hashes the prefix and probes this table *)
   mutable s_groups : (Ast.expr list * bool) list;
       (* predicate groups in application order; a group is the per-table
          slice of one source predicate's conjuncts, flagged [true] when the
@@ -66,7 +68,7 @@ let step_of_table db name alias cond =
   | None -> fallback ()
   | Some t ->
       let alias = match alias with Some a -> Some a | None -> Some (Table.name t) in
-      { s_table = t; s_alias = alias; s_cond = cond; s_groups = [] }
+      { s_table = t; s_alias = alias; s_cond = cond; s_build_left = false; s_groups = [] }
 
 let rec flatten_tref db (tr : Ast.table_ref) acc =
   match tr with
@@ -100,10 +102,10 @@ let rec flatten_rel db (r : Plan.rel) : (step * Ast.expr list) list * (int * Ast
         let steps, preds = flatten_rel db input in
         (steps, preds @ [ (List.length steps, pred) ])
       end
-  | Plan.Join { kind = Ast.Inner; cond = Ast.On e; build_left = false; left; right } ->
+  | Plan.Join { kind = Ast.Inner; cond = Ast.On e; build_left; left; right } ->
       let steps, preds = flatten_rel db left in
       let step, sfs = scan_chain db right [] in
-      (steps @ [ ({ step with s_cond = Some e }, sfs) ], preds)
+      (steps @ [ ({ step with s_cond = Some e; s_build_left = build_left }, sfs) ], preds)
   | _ -> fallback ()
 
 (* --- the slab: combined headers over per-table chunks ----------------------- *)
@@ -342,49 +344,72 @@ let compile_pred ctx t (e : Ast.expr) : pred =
           List.iter (fun (ci, off) -> scratch.(ci) <- rows.(p).(off)) needed;
           closure scratch)
 
+(* [passes typed k p]: conjuncts [k..] of [typed] all accept physical row [p]. *)
+let rec passes (typed : (int -> bool) array) k p =
+  k >= Array.length typed || (typed.(k) p && passes typed (k + 1) p)
+
 (* Apply one predicate group to the surviving physical rows of a table.
    Within a group every generic conjunct is evaluated on every input row —
    the row engine's AND evaluates all operands before combining, so its
    error/3-valued behaviour depends on all of them — while typed conjuncts
    (total, error-free) may short-circuit each other. All-typed groups run
    morsel-parallel over chunk ranges (order-preserving concat); generic
-   conjuncts share a compiled scratch row and stay sequential. *)
+   conjuncts share a compiled scratch row and stay sequential. Survivors go
+   into an int buffer sized to the morsel, so the per-row loop allocates
+   nothing. *)
 let apply_group pool (chunk : Chunk.t) (sel : int array option) (conjs : Ast.expr list)
     ~strict ~(compile : Ast.expr -> pred) : int array option =
   let preds = List.map compile conjs in
-  let typed = List.filter_map (function P_typed f -> Some f | _ -> None) preds in
-  let gens = List.filter_map (function P_generic g -> Some g | _ -> None) preds in
+  let typed = Array.of_list (List.filter_map (function P_typed f -> Some f | _ -> None) preds) in
+  let gens = Array.of_list (List.filter_map (function P_generic g -> Some g | _ -> None) preds) in
   let keep p =
-    let ok = ref (List.for_all (fun f -> f p) typed) in
-    List.iter
-      (fun g ->
-        match g p with
-        | Value.Bool true -> ()
-        | Value.Bool false | Value.Null -> ok := false
-        | _ ->
-            (* the row engine's AND raises on non-boolean operands; a lone
-               conjunct just falls to is_truthy = false *)
-            if strict then fallback () else ok := false)
-      gens;
+    let ok = ref (passes typed 0 p) in
+    for k = 0 to Array.length gens - 1 do
+      match gens.(k) p with
+      | Value.Bool true -> ()
+      | Value.Bool false | Value.Null -> ok := false
+      | _ ->
+          (* the row engine's AND raises on non-boolean operands; a lone
+             conjunct just falls to is_truthy = false *)
+          if strict then fallback () else ok := false
+    done;
     !ok
   in
-  let pool = if gens = [] then pool else None in
+  let pool = if Array.length gens = 0 then pool else None in
   let nin = match sel with None -> chunk.Chunk.n | Some s -> Array.length s in
-  let at = match sel with None -> fun i -> i | Some s -> fun i -> s.(i) in
   let chunkf lo hi =
-    let out = Vec.create () in
-    for i = lo to hi - 1 do
-      let p = at i in
-      if keep p then Vec.push out p
-    done;
-    out
+    let out = Array.make (hi - lo) 0 and w = ref 0 in
+    (match sel with
+    | None ->
+        for p = lo to hi - 1 do
+          if keep p then begin
+            out.(!w) <- p;
+            incr w
+          end
+        done
+    | Some s ->
+        for i = lo to hi - 1 do
+          let p = s.(i) in
+          if keep p then begin
+            out.(!w) <- p;
+            incr w
+          end
+        done);
+    (out, !w)
   in
-  let out =
-    match Parallel.gather pool nin chunkf with
-    | None -> chunkf 0 nin
-    | Some parts -> Vec.concat parts
-  in
-  Some (Vec.to_array out)
+  match Parallel.gather pool nin chunkf with
+  | None ->
+      let out, w = chunkf 0 nin in
+      Some (if w = nin then out else Array.sub out 0 w)
+  | Some parts ->
+      let out = Array.make (Array.fold_left (fun acc (_, w) -> acc + w) 0 parts) 0 in
+      ignore
+        (Array.fold_left
+           (fun pos (part, w) ->
+             Array.blit part 0 out pos w;
+             pos + w)
+           0 parts);
+      Some out
 
 let selection_of ctx t (s : step) : int array option =
   let compile = compile_pred ctx t in
@@ -835,6 +860,45 @@ let join_keys ctx (steps : step array) =
       end)
     steps
 
+(* A build-left join hashes the prefix and probes table [bt], so the row
+   engine emits table [bt]'s rows ascending and, within each, its prefix
+   matches in logical order. [join_step] finds the same matches (key
+   equality does not depend on which side is hashed) prefix-major; a stable
+   counting sort of the logical rows on table [bt]'s physical row restores
+   the build-left order. The permutation is composed into each joined
+   table's map lazily, so a result that reads no column never sorts. *)
+let build_left_order ctx (slab : slab) ~bt : slab =
+  let perm =
+    lazy
+      (let rows_of = Option.get (map_of slab bt) in
+       let starts = Array.make (ctx.chunks.(bt).Chunk.n + 1) 0 in
+       for i = 0 to slab.n - 1 do
+         let b = rows_of.(i) + 1 in
+         starts.(b) <- starts.(b) + 1
+       done;
+       for b = 1 to Array.length starts - 1 do
+         starts.(b) <- starts.(b) + starts.(b - 1)
+       done;
+       let perm = Array.make slab.n 0 in
+       for i = 0 to slab.n - 1 do
+         let b = rows_of.(i) in
+         perm.(starts.(b)) <- i;
+         starts.(b) <- starts.(b) + 1
+       done;
+       perm)
+  in
+  let maps =
+    Array.mapi
+      (fun t m ->
+        if t > bt then m
+        else
+          lazy
+            (let m = Option.get (Lazy.force m) and perm = Lazy.force perm in
+             Some (Array.map (fun i -> Array.unsafe_get m i) perm)))
+      slab.maps
+  in
+  { slab with maps }
+
 let build_slab ctx (steps : step array) : slab =
   let sels = Array.mapi (fun t s -> selection_of ctx t s) steps in
   let keys = join_keys ctx steps in
@@ -844,7 +908,8 @@ let build_slab ctx (steps : step array) : slab =
     match keys.(t) with
     | None -> fallback ()
     | Some (li, ri) ->
-        slab := join_step ctx !slab ~bt:t ~probe_ci:li ~build_off:(ri + 0) sels.(t)
+        slab := join_step ctx !slab ~bt:t ~probe_ci:li ~build_off:(ri + 0) sels.(t);
+        if steps.(t).s_build_left then slab := build_left_order ctx !slab ~bt:t
   done;
   !slab
 

@@ -4,6 +4,8 @@ module Ast = Flex_sql.Ast
     top-K kernels over {!Chunk} columns for the recognised query subset
     (single-table scans and left-deep INNER equijoins with conjunctive
     predicates, column projections and group keys, standard aggregates).
+    Plan joins are accepted with either hash-build orientation
+    ({!Plan.rel.Join.build_left}).
 
     Every entry point returns [None] — and the caller runs the row pipeline
     unchanged — when the query falls outside the subset or raises any
@@ -29,8 +31,10 @@ val select : ?pool:Task_pool.t -> Database.t -> Ast.select -> result_set option
     top, including its hidden-order-key re-evaluation). *)
 
 val plan_query : ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set option
-(** Plan-side {!query}: scan chains with pushed-down filters and
-    build-on-right inner hash joins. *)
+(** Plan-side {!query}: scan chains with pushed-down filters and inner hash
+    joins built on either side. A build-left join emits its matches in the
+    row engine's build-left order: the joined table's rows ascending and,
+    within each, the prefix rows in logical order. *)
 
 val plan_select : ?pool:Task_pool.t -> Database.t -> Plan.select_plan -> result_set option
 (** Plan-side {!select}. *)

@@ -101,6 +101,10 @@ let columnar_env_ok env =
 let columnar_rel (r : Columnar.result_set) : vrel =
   { vh = r.chead; vr = r.crows }
 
+(* Select bodies the row pipeline evaluated because the columnar engine
+   declined them where it was allowed to run (process-global). *)
+let fallbacks = Atomic.make 0
+
 (* Scan-time column pruning (projection pushdown). When a select joins two or
    more relations, base-table scans keep only columns whose name is mentioned
    somewhere in the query (including inside subqueries), so joined rows stay
@@ -667,9 +671,13 @@ and cross_all env ~prune = function
       rest
 
 and eval_select env (s : Ast.select) : vrel =
-  match if columnar_env_ok env then Columnar.select ?pool:env.pool env.db s else None with
-  | Some r -> columnar_rel r
-  | None -> eval_select_row env s
+  if not (columnar_env_ok env) then eval_select_row env s
+  else
+    match Columnar.select ?pool:env.pool env.db s with
+    | Some r -> columnar_rel r
+    | None ->
+      Atomic.incr fallbacks;
+      eval_select_row env s
 
 and eval_select_row env (s : Ast.select) : vrel =
   let source = cross_all env ~prune:(prune_of_select s) s.from in
@@ -1182,11 +1190,13 @@ and eval_rel env ~prune ~path (r : Plan.rel) : vrel =
         join env kind ~build_left l r cond)
 
 and eval_select_plan env ~path (sp : Plan.select_plan) : vrel =
-  match
-    if columnar_env_ok env then Columnar.plan_select ?pool:env.pool env.db sp else None
-  with
-  | Some r -> columnar_rel r
-  | None -> eval_select_plan_row env ~path sp
+  if not (columnar_env_ok env) then eval_select_plan_row env ~path sp
+  else
+    match Columnar.plan_select ?pool:env.pool env.db sp with
+    | Some r -> columnar_rel r
+    | None ->
+      Atomic.incr fallbacks;
+      eval_select_plan_row env ~path sp
 
 and eval_select_plan_row env ~path (sp : Plan.select_plan) : vrel =
   let rows_in = ref (-1) in
@@ -1276,6 +1286,8 @@ and eval_plan_row env ~path (p : Plan.t) : vrel =
 (* --- public API ----------------------------------------------------------------- *)
 
 let columnar_enabled = Columnar.enabled
+
+let columnar_fallbacks () = Atomic.get fallbacks
 
 let run ?pool db (q : Ast.query) : result_set =
   to_result (eval_query { db; ctes = []; outer = []; pool; trace = None } q)

@@ -37,6 +37,13 @@ val columnar_enabled : bool ref
     (enforced by the 3-way differential suite), so toggling it never
     changes a DP release. *)
 
+val columnar_fallbacks : unit -> int
+(** Lifetime count (process-global) of select bodies the row pipeline
+    evaluated because {!Columnar} declined them while it was allowed to run:
+    switch on, no bound CTEs, no correlated scope, no EXPLAIN ANALYZE trace.
+    A {!Columnar.plan_query} miss retried as {!Columnar.plan_select} counts
+    only if the retry also falls back. *)
+
 val run : ?pool:Task_pool.t -> Database.t -> Ast.query -> result_set
 (** [?pool] enables the morsel-parallel operators ({!Parallel}): scan,
     filter and projection over row morsels, partitioned parallel hash-join

@@ -299,7 +299,12 @@ let register_collectors t reg =
       [
         ([ ("mode", "parallel") ], float_of_int par);
         ([ ("mode", "sequential") ], float_of_int seq);
-      ])
+      ]);
+  Registry.collect reg
+    ~help:"Select bodies the row engine ran because the columnar engine declined them \
+           (process-global)"
+    ~kind:`Counter "flex_engine_fallback_total" (fun () ->
+      [ ([], float_of_int (Flex_engine.Executor.columnar_fallbacks ())) ])
 
 let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?pool ?registry
     ?release_store ~db ~metrics ~ledger ~rng () =

@@ -649,11 +649,7 @@ let with_columnar on f =
    other cell-for-cell (same values, same row order, same error/ok split).
    Anything short of that would make DP releases depend on the engine
    toggle. *)
-let check_columnar_3way db sql =
-  with_columnar false (fun () -> check_same db sql);
-  with_columnar true (fun () -> check_same db sql);
-  let row = with_columnar false (fun () -> Executor.run_sql db sql) in
-  let col = with_columnar true (fun () -> Executor.run_sql db sql) in
+let check_row_columnar_agree sql row col =
   match (row, col) with
   | Error _, Error _ -> ()
   | Ok _, Error e -> Alcotest.failf "columnar failed, row ok (%s): %s" sql e
@@ -676,6 +672,13 @@ let check_columnar_3way db sql =
           Alcotest.failf "row %d differs (%s): row [%s], columnar [%s]" i sql
             (row_to_string ra) (row_to_string rb))
       (List.combine a.Executor.rows b.Executor.rows)
+
+let check_columnar_3way db sql =
+  with_columnar false (fun () -> check_same db sql);
+  with_columnar true (fun () -> check_same db sql);
+  let row = with_columnar false (fun () -> Executor.run_sql db sql) in
+  let col = with_columnar true (fun () -> Executor.run_sql db sql) in
+  check_row_columnar_agree sql row col
 
 (* Trap fixture for the typed kernels: NULL-heavy key and measure columns, a
    mixed Int/Float column (boxed in the chunk), a dictionary column with
@@ -759,6 +762,145 @@ let columnar_differential_tests =
   ]
 
 let suites = suites @ [ ("columnar-differential", columnar_differential_tests) ]
+
+(* --- columnar vs row on executed plans ------------------------------------ *)
+
+module Ast = Flex_sql.Ast
+module Optimizer = Flex_engine.Optimizer
+module Aggregate = Flex_engine.Aggregate
+
+(* The service executes optimizer plans, whose hash joins may build on the
+   left input ([build=left]); the AST path above never does. Columnar must
+   match the row engine on plans as well: same cells, same row order, same
+   ok/error split. *)
+let run_plan_result ?pool db plan =
+  match Executor.run_plan ?pool db plan with
+  | r -> Ok r
+  | exception (Executor.Error e | Eval.Error e | Aggregate.Error e) -> Error e
+
+(* [?pool] runs the columnar side on the pool; the row side stays sequential. *)
+let check_plan_agrees ?pool db sql plan =
+  let label = Fmt.str "%s [%s]" sql (Plan.to_string plan) in
+  let row = with_columnar false (fun () -> run_plan_result db plan) in
+  let col = with_columnar true (fun () -> run_plan_result ?pool db plan) in
+  check_row_columnar_agree label row col
+
+(* [of_query] with [build_left] set on inner joins; [flip depth] picks them
+   by depth along the left spine (0 = the outermost join). *)
+let force_build_left ?(flip = fun _ -> true) (q : Ast.query) : Plan.t =
+  let rec rel depth (r : Plan.rel) =
+    match r with
+    | Plan.Join j ->
+      Plan.Join
+        {
+          j with
+          build_left = j.kind = Ast.Inner && flip depth;
+          left = rel (depth + 1) j.left;
+          right = rel 0 j.right;
+        }
+    | Plan.Filter f -> Plan.Filter { f with input = rel depth f.input }
+    | Plan.Scan _ | Plan.Derived _ -> r
+  in
+  let rec body = function
+    | Plan.Plan_select sp -> Plan.Plan_select { sp with source = Option.map (rel 0) sp.source }
+    | Plan.Plan_set s -> Plan.Plan_set { s with left = body s.left; right = body s.right }
+  in
+  let p = Plan.of_query q in
+  { p with body = body p.body }
+
+(* The trap fixture plus [legs]: floats whose sum depends on addition order,
+   on keys that fan out against [dims]' duplicate key 2. *)
+let build_left_fixture () =
+  let db = null_mixed_fixture () in
+  Database.add db
+    (Table.create ~name:"legs" ~columns:[ "id"; "k"; "amount" ]
+       (List.init 24 (fun i ->
+            [|
+              v_int i;
+              (if i mod 7 = 3 then Value.Null else v_int (i mod 5));
+              v_float ((if i mod 4 = 0 then 1e15 else 1.0) /. float_of_int (i + 3));
+            |])));
+  db
+
+let build_left_traps =
+  [
+    (* unordered multi-row projections: row order is the join's own *)
+    "SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k";
+    "SELECT d.label, f.id, f.tag FROM dims d JOIN facts f ON d.k = f.k";
+    (* float SUM/AVG accumulate in the join's row order *)
+    "SELECT SUM(l.amount), AVG(l.amount) FROM legs l JOIN dims d ON l.k = d.k";
+    "SELECT l.k, SUM(l.amount), AVG(l.amount) FROM legs l JOIN dims d ON l.k = d.k GROUP BY l.k";
+    (* GROUP BY emits groups in first-appearance order *)
+    "SELECT d.label, COUNT(*) FROM facts f JOIN dims d ON f.k = d.k GROUP BY d.label";
+    "SELECT f.tag, COUNT(*), SUM(f.m) FROM dims d JOIN facts f ON d.k = f.k GROUP BY f.tag";
+    (* ORDER BY ... LIMIT breaks ties by join row order *)
+    "SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k ORDER BY d.k LIMIT 5";
+    "SELECT d.label, l.id FROM legs l JOIN dims d ON l.k = d.k ORDER BY d.label DESC LIMIT 4 \
+     OFFSET 2";
+    (* Float, boxed Int/Float and string keys, NULLs on both sides *)
+    "SELECT f.id, g.id FROM facts f JOIN facts g ON f.m = g.m";
+    "SELECT f.id, d.label FROM facts f JOIN dims d ON f.mix = d.k";
+    "SELECT f.id, g.id FROM facts f JOIN facts g ON f.tag = g.tag WHERE f.id < 12";
+    "SELECT l.id, f.id FROM legs l JOIN facts f ON l.amount = f.m";
+  ]
+
+let build_left_chains =
+  [
+    "SELECT f.id, d.label, l.id FROM facts f JOIN dims d ON f.k = d.k JOIN legs l ON d.k = l.k";
+    "SELECT l.k, SUM(l.amount) FROM facts f JOIN dims d ON f.k = d.k JOIN legs l \
+     ON d.k = l.k WHERE f.id < 20 GROUP BY l.k";
+  ]
+
+let columnar_plan_tests =
+  [
+    Alcotest.test_case "edge cases agree on optimizer plans" `Quick (fun () ->
+        let db = fixture () in
+        let metrics = Metrics.compute db in
+        List.iter
+          (fun sql ->
+            let q = Flex_sql.Parser.parse_exn sql in
+            check_plan_agrees db sql (Optimizer.plan ~metrics q);
+            check_plan_agrees db sql (force_build_left q))
+          edge_case_queries);
+    Alcotest.test_case "generated plans all run columnar and agree" `Quick (fun () ->
+        let rng = Rng.create ~seed:11 () in
+        let db, metrics = Uber.generate ~sizes:Uber.small_sizes rng in
+        let queries = Qgen.generate rng ~count:40 ~n_cities:12 ~n_drivers:120 ~n_users:200 in
+        let plans =
+          List.concat_map
+            (fun (q : Qgen.t) ->
+              List.map
+                (fun sql -> (sql, Optimizer.plan ~metrics (Flex_sql.Parser.parse_exn sql)))
+                [ q.sql; q.population_sql ])
+            queries
+        in
+        Alcotest.(check bool) "the corpus has build-left plans" true
+          (List.exists
+             (fun (_, p) -> Astring.String.is_infix ~affix:"build=left" (Plan.to_string p))
+             plans);
+        let before = Executor.columnar_fallbacks () in
+        List.iter (fun (sql, plan) -> check_plan_agrees db sql plan) plans;
+        Alcotest.(check int) "no plan fell back to the row engine" before
+          (Executor.columnar_fallbacks ()));
+    Alcotest.test_case "traps agree with every inner join built left" `Quick (fun () ->
+        let db = build_left_fixture () in
+        List.iter
+          (fun sql ->
+            let q = Flex_sql.Parser.parse_exn sql in
+            check_plan_agrees db sql (force_build_left q))
+          (null_mixed_queries @ build_left_traps @ build_left_chains));
+    Alcotest.test_case "three-table chains flipped at either step" `Quick (fun () ->
+        let db = build_left_fixture () in
+        List.iter
+          (fun sql ->
+            let q = Flex_sql.Parser.parse_exn sql in
+            List.iter
+              (fun flip -> check_plan_agrees db sql (force_build_left ~flip q))
+              [ (fun d -> d = 0); (fun d -> d = 1) ])
+          build_left_chains);
+  ]
+
+let suites = suites @ [ ("columnar-plan-differential", columnar_plan_tests) ]
 
 (* --- explicit expectations for the new join/set-op edge cases ------------- *)
 

@@ -56,7 +56,8 @@ let mechanism_tests =
     Alcotest.test_case "release is bit-identical with columnar on or off" `Quick (fun () ->
         (* the DP pipeline must be invariant under the execution engine: an
            exact COUNT plus a fixed RNG stream gives the same noisy release
-           whether the row or the columnar engine computed the truth *)
+           whether the row or the columnar engine computed the truth — on
+           the AST path and on the optimizer plans the server executes *)
         let _, db, metrics = setup () in
         let with_columnar on f =
           let prev = !Flex_engine.Executor.columnar_enabled in
@@ -65,23 +66,52 @@ let mechanism_tests =
             ~finally:(fun () -> Flex_engine.Executor.columnar_enabled := prev)
             f
         in
-        List.iter
-          (fun sql ->
-            let one on =
-              with_columnar on (fun () ->
-                  let rng = Rng.create ~seed:77 () in
-                  match Flex.run_sql ~rng ~options:(opts ()) ~db ~metrics sql with
-                  | Ok r -> (r.Flex.true_result.rows, r.Flex.noisy.rows)
-                  | Error _ -> Alcotest.failf "rejected: %s" sql)
-            in
-            let t_row, n_row = one false and t_col, n_col = one true in
-            Alcotest.(check bool) (sql ^ ": same truth") true (t_row = t_col);
-            Alcotest.(check bool) (sql ^ ": same release") true (n_row = n_col))
+        let same_release sql =
+          List.iter
+            (fun optimize ->
+              let one on =
+                with_columnar on (fun () ->
+                    let rng = Rng.create ~seed:77 () in
+                    match Flex.run_sql ~optimize ~rng ~options:(opts ()) ~db ~metrics sql with
+                    | Ok r -> (r.Flex.true_result.rows, r.Flex.noisy.rows)
+                    | Error _ -> Alcotest.failf "rejected: %s" sql)
+              in
+              let what = Fmt.str "%s (optimize %b)" sql optimize in
+              let t_row, n_row = one false and t_col, n_col = one true in
+              Alcotest.(check bool) (what ^ ": same truth") true (t_row = t_col);
+              Alcotest.(check bool) (what ^ ": same release") true (n_row = n_col))
+            [ false; true ]
+        in
+        List.iter same_release
           [
             "SELECT COUNT(*) FROM trips WHERE status = 'completed'";
             "SELECT t.status, COUNT(*) FROM trips t GROUP BY t.status";
             "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
              GROUP BY c.name";
+          ];
+        (* plans that hash their left input: the generated m:n self-join, the
+           section 5.5 drivers x analytics program, and a float SUM whose
+           accumulation order is the join's row order *)
+        let p3 =
+          List.find
+            (fun (p : Flex_workload.Representative.program) -> p.name = "P3")
+            Flex_workload.Representative.programs
+        in
+        List.iter
+          (fun sql ->
+            let plan =
+              Flex_engine.Optimizer.plan ~metrics (Flex_sql.Parser.parse_exn sql)
+            in
+            Alcotest.(check bool) (sql ^ ": plan builds left") true
+              (Astring.String.is_infix ~affix:"build=left" (Flex_engine.Plan.to_string plan));
+            same_release sql)
+          [
+            "SELECT COUNT(*) FROM trips t JOIN trips t2 ON t.rider_id = t2.rider_id \
+             WHERE t.status = 'completed' AND t2.status = 'cancelled' \
+             AND t.requested_at >= '2016-03-01' AND t.requested_at < '2016-03-08'";
+            p3.sql;
+            "SELECT d.status, SUM(t.fare) FROM drivers d JOIN trips t ON d.id = t.driver_id \
+             WHERE d.vehicle = 'motorbike' GROUP BY d.status";
           ]);
     Alcotest.test_case "group keys pass through unperturbed" `Quick (fun () ->
         let ctx = setup () in

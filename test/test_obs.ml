@@ -27,6 +27,7 @@ module Parallel = Flex_engine.Parallel
 module Rng = Flex_dp.Rng
 module Ledger = Flex_dp.Ledger
 module Uber = Flex_workload.Uber
+module Qgen = Flex_workload.Qgen
 module Wire = Flex_service.Wire
 module Json = Flex_service.Json
 module Server = Flex_service.Server
@@ -651,6 +652,34 @@ let service_tests =
           Alcotest.(check (option (float 0.))) "stage timing zero when off" (Some 0.0)
             (Option.bind (Json.mem "total_ns" j) Json.to_num)
         | Error e -> Alcotest.failf "audit line does not parse: %s" e);
+    Alcotest.test_case "engine fallbacks: none on generated queries, one per outer join" `Quick
+      (fun () ->
+        let config = { Server.default_config with analyst_epsilon = 1000.0 } in
+        let server = make_server ~config () in
+        let session = Server.session server in
+        hello server session "a";
+        let fallbacks () =
+          match
+            List.find_opt
+              (fun (f : Registry.family) -> f.name = "flex_engine_fallback_total")
+              (Registry.snapshot (Option.get (Server.registry server)))
+          with
+          | Some { samples = [ { labels = []; value = Registry.Sample v } ]; _ } -> int_of_float v
+          | _ -> Alcotest.fail "flex_engine_fallback_total: expected one unlabelled sample"
+        in
+        let answered sql =
+          match query server session sql with
+          | Wire.Result _ -> ()
+          | other -> Alcotest.failf "%s: %s" sql (Wire.response_to_line other)
+        in
+        let before = fallbacks () in
+        List.iter
+          (fun (q : Qgen.t) -> answered q.sql)
+          (Qgen.generate (Rng.create ~seed:11 ()) ~count:40 ~n_cities:12 ~n_drivers:120
+             ~n_users:200);
+        Alcotest.(check int) "the generated corpus runs columnar" before (fallbacks ());
+        answered "SELECT COUNT(*) FROM trips t LEFT JOIN drivers d ON t.driver_id = d.id";
+        Alcotest.(check int) "a LEFT JOIN falls back once" (before + 1) (fallbacks ()));
   ]
 
 (* --- stats HTTP endpoint --------------------------------------------------------- *)

@@ -250,6 +250,16 @@ let differential_tests =
                     check_3way pool db q.sql;
                     check_3way pool db q.population_sql)
                   queries)));
+    Alcotest.test_case "build-left plans on the pool agree with the row engine" `Quick
+      (fun () ->
+        forced (fun () ->
+            with_pool (fun pool ->
+                let db = Test_engine.build_left_fixture () in
+                List.iter
+                  (fun sql ->
+                    Test_engine.check_plan_agrees ~pool db sql
+                      (Test_engine.force_build_left (Flex_sql.Parser.parse_exn sql)))
+                  (Test_engine.build_left_traps @ Test_engine.build_left_chains))));
   ]
 
 (* --- bounded top-K ORDER BY ... LIMIT ------------------------------------ *)
