@@ -170,7 +170,11 @@ let bench_service (db, metrics) ~rounds ~reps =
     (server, session)
   in
   let queries = List.length service_sqls * reps in
+  (* each timed loop starts on an empty minor heap, so neither side pays for
+     a minor collection the previous loop's allocations left due — at smoke
+     scale one such collection outweighs the telemetry being measured *)
   let loop (server, session) =
+    Gc.minor ();
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
       List.iter (run_query server session) service_sqls

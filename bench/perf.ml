@@ -16,6 +16,7 @@ module Database = Flex_engine.Database
 module Table = Flex_engine.Table
 module Executor = Flex_engine.Executor
 module Reference = Flex_engine.Reference
+module Columnar = Flex_engine.Columnar
 module W = Flex_workload
 
 let smoke = ref false
@@ -161,9 +162,9 @@ let tpch_shapes =
 
 (* Run [f] with the columnar engine forced on or off. *)
 let with_columnar on f =
-  let saved = !Executor.columnar_enabled in
-  Executor.columnar_enabled := on;
-  Fun.protect ~finally:(fun () -> Executor.columnar_enabled := saved) f
+  let saved = !Columnar.enabled in
+  Columnar.enabled := on;
+  Fun.protect ~finally:(fun () -> Columnar.enabled := saved) f
 
 let bench_substrate name scale_label (db : Database.t) shapes acc =
   List.fold_left

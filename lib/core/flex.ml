@@ -147,16 +147,18 @@ let smooth_columns ?span ~options:opts (analysis : Elastic.analysis) : column_re
 
 (* Stage 3 — run the unmodified query on the database; [pool] dispatches
    execution onto the engine's morsel-parallel operators. Under a span the
-   optimizer rewrite and the engine run appear as separate children. *)
+   optimizer rewrite (when optimizing) and the engine run appear as separate
+   children. *)
 let execute ?span ?pool ?(optimize = false) ?metrics ~db (q : Ast.query) :
     (Executor.result_set, Errors.reason) result =
   Span.timed span "execute" (fun sp ->
       match
-        if optimize then begin
-          let p = Span.timed sp "optimize" (fun _ -> Flex_engine.Optimizer.plan ?metrics q) in
-          Span.timed sp "run" (fun _ -> Executor.run_plan ?pool db p)
-        end
-        else Span.timed sp "run" (fun _ -> Executor.run ?pool db q)
+        let p =
+          if optimize then
+            Span.timed sp "optimize" (fun _ -> Flex_engine.Optimizer.plan ?metrics q)
+          else Flex_engine.Plan.of_query q
+        in
+        Span.timed sp "run" (fun _ -> Executor.run_plan ?pool db p)
       with
       | true_result -> Ok true_result
       | exception Executor.Error m -> Error (Errors.Analysis_error ("execution: " ^ m))

@@ -2,7 +2,7 @@ module Ast = Flex_sql.Ast
 module Vec = Row_vec
 
 (* Columnar batch execution over {!Chunk} columns. The recognizer accepts a
-   subset of queries — single-table scans and left-deep INNER equijoins
+   subset of logical plans — scan chains and left-deep INNER equijoins
    (either hash-build orientation) with conjunctive filters, column
    projections/group keys, and the standard aggregates — and runs them
    through vectorized kernels: filters become selection vectors over typed
@@ -53,7 +53,7 @@ let plain_expr e = if (not (no_subquery e)) || has_aggregate e then fallback ()
 
 type step = {
   s_table : Table.t;
-  s_alias : string option;
+  s_alias : string;
   s_cond : Ast.expr option; (* ON condition joining this table to the prefix *)
   s_build_left : bool; (* the plan hashes the prefix and probes this table *)
   mutable s_groups : (Ast.expr list * bool) list;
@@ -63,26 +63,17 @@ type step = {
          fall back: the row engine's AND would error) *)
 }
 
-let step_of_table db name alias cond =
+let step_of_table db name alias =
   match Database.find_opt db name with
   | None -> fallback ()
   | Some t ->
-      let alias = match alias with Some a -> Some a | None -> Some (Table.name t) in
-      { s_table = t; s_alias = alias; s_cond = cond; s_build_left = false; s_groups = [] }
-
-let rec flatten_tref db (tr : Ast.table_ref) acc =
-  match tr with
-  | Ast.Table { name; alias } -> step_of_table db name alias None :: acc
-  | Ast.Join { kind = Ast.Inner; left; right = Ast.Table { name; alias }; cond = Ast.On e }
-    ->
-      flatten_tref db left (step_of_table db name alias (Some e) :: acc)
-  | _ -> fallback ()
+      { s_table = t; s_alias = alias; s_cond = None; s_build_left = false; s_groups = [] }
 
 (* A plan-side scan chain: Filter* over Scan, predicates innermost first. *)
 let rec scan_chain db (r : Plan.rel) preds =
   match r with
   | Plan.Filter { pred; input } -> scan_chain db input (pred :: preds)
-  | Plan.Scan { table; alias } -> (step_of_table db table (Some alias) None, preds)
+  | Plan.Scan { table; alias } -> (step_of_table db table alias, preds)
   | _ -> fallback ()
 
 let rec is_scan_chain = function
@@ -137,7 +128,7 @@ let ctx_of_steps pool (steps : step array) : ctx =
       tbl_start.(t) <- Vec.length headers;
       Array.iteri
         (fun j name ->
-          Vec.push headers { alias = s.s_alias; name };
+          Vec.push headers { alias = Some s.s_alias; name };
           Vec.push col_tbl t;
           Vec.push col_off j)
         (Table.columns s.s_table))
@@ -290,7 +281,10 @@ let col_vs_col (ca : Chunk.col) op (cb : Chunk.col) : pred option =
       if test_op op c then Some (P_typed (fun p -> nna p && nnb p))
       else Some (P_typed (fun _ -> false))
 
-(* Never-called subquery hook: recognition already rejected subqueries. *)
+(* Subquery hook for compiled predicates and aggregates. Recognition already
+   rejected subqueries, so it never runs. It declines only when applied to a
+   row, not when {!Compiled.compile} stages it, so staging cannot change
+   which plans are accepted. *)
 let no_subquery_fn : Compiled.subquery = fun _ _ -> fallback ()
 
 (* Compile one conjunct into a per-physical-row predicate for table [t]. *)
@@ -1949,16 +1943,6 @@ let run_query ?pool db (task : task) ~(order_by : (Ast.expr * Ast.order_dir) lis
 
 (* --- recognisers / public entry points ---------------------------------------- *)
 
-let task_of_select db (s : Ast.select) : task =
-  if s.distinct then fallback ();
-  let steps =
-    match s.from with [ tr ] -> Array.of_list (flatten_tref db tr []) | _ -> fallback ()
-  in
-  if Array.length steps = 0 then fallback ();
-  let ctx0 = ctx_of_steps None steps in
-  (match s.where with Some w -> attach ctx0 steps w | None -> ());
-  { steps; projections = s.projections; group_by = s.group_by; having = s.having }
-
 let task_of_select_plan db (sp : Plan.select_plan) : task =
   if sp.Plan.distinct then fallback ();
   let source = match sp.Plan.source with Some r -> r | None -> fallback () in
@@ -1985,31 +1969,14 @@ let guard (f : unit -> result_set) : result_set option =
   try Some (f ())
   with Fallback | Compiled.Error _ | Eval.Error _ | Aggregate.Error _ -> None
 
-let query ?pool db (q : Ast.query) : result_set option =
-  if not !enabled then None
-  else
-    guard (fun () ->
-        if q.Ast.ctes <> [] then fallback ();
-        match q.Ast.body with
-        | Ast.Select s ->
-            run_query ?pool db (task_of_select db s) ~order_by:q.Ast.order_by
-              ~limit:q.Ast.limit ~offset:q.Ast.offset
-        | _ -> fallback ())
-
-let select ?pool db (s : Ast.select) : result_set option =
-  if not !enabled then None else guard (fun () -> run_body ?pool db (task_of_select db s))
-
 let plan_query ?pool db (p : Plan.t) : result_set option =
-  if not !enabled then None
-  else
-    guard (fun () ->
-        if p.Plan.ctes <> [] then fallback ();
-        match p.Plan.body with
-        | Plan.Plan_select sp ->
-            run_query ?pool db (task_of_select_plan db sp) ~order_by:p.Plan.order_by
-              ~limit:p.Plan.limit ~offset:p.Plan.offset
-        | _ -> fallback ())
+  guard (fun () ->
+      if p.Plan.ctes <> [] then fallback ();
+      match p.Plan.body with
+      | Plan.Plan_select sp ->
+          run_query ?pool db (task_of_select_plan db sp) ~order_by:p.Plan.order_by
+            ~limit:p.Plan.limit ~offset:p.Plan.offset
+      | _ -> fallback ())
 
 let plan_select ?pool db (sp : Plan.select_plan) : result_set option =
-  if not !enabled then None
-  else guard (fun () -> run_body ?pool db (task_of_select_plan db sp))
+  guard (fun () -> run_body ?pool db (task_of_select_plan db sp))

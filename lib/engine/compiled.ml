@@ -77,11 +77,13 @@ let expand_projections (headers : header array) (projections : Ast.projection li
 
 type t = Value.t array -> Value.t
 
+(* [subquery q] is staged: {!compile} applies it once per subquery node, at
+   compile time, and the returned closure evaluates [q] for one enclosing
+   row, pushed as the innermost scope, returning (column count, result
+   rows). Provided by the executor, which plans [q] in the staging step; the
+   evaluation itself cannot be precompiled, since a subquery's own relations
+   are instantiated per enclosing row. *)
 type subquery = Ast.query -> Value.t array -> int * Value.t array list
-(** [subquery q row] evaluates [q] with [row] pushed as the innermost
-    enclosing scope; returns (column count, result rows). Provided by the
-    executor — the only part of evaluation that cannot be precompiled, since
-    a subquery's own relations are instantiated per enclosing row. *)
 
 (* Aggregate slot registry: while compiling a grouped projection/HAVING, each
    distinct aggregate application (func, distinct, arg) is assigned a slot;
@@ -204,11 +206,12 @@ let rec compile ~(subquery : subquery) ?agg ~(headers : header array)
           let found = List.exists (fun m -> Value.equal m v) members in
           Value.Bool (if negated then not found else found)
     | Ast.In_query q ->
+      let sq = subquery q in
       fun row ->
         let v = cs row in
         if Value.is_null v then Value.Null
         else begin
-          let ncols, rows = subquery q row in
+          let ncols, rows = sq row in
           if ncols <> 1 then error "IN subquery must return exactly one column";
           let found = List.exists (fun r -> Value.equal r.(0) v) rows in
           Value.Bool (if negated then not found else found)
@@ -234,12 +237,14 @@ let rec compile ~(subquery : subquery) ?agg ~(headers : header array)
       let isnull = Value.is_null (cs row) in
       Value.Bool (if negated then not isnull else isnull)
   | Ast.Exists q ->
+    let sq = subquery q in
     fun row ->
-      let _, rows = subquery q row in
+      let _, rows = sq row in
       Value.Bool (rows <> [])
   | Ast.Scalar_subquery q ->
+    let sq = subquery q in
     fun row ->
-      let ncols, rows = subquery q row in
+      let ncols, rows = sq row in
       if ncols <> 1 then error "scalar subquery must return exactly one column";
       (match rows with
       | [] -> Value.Null

@@ -23,8 +23,12 @@ type t = Value.t array -> Value.t
 (** A compiled expression, applied to one row of the compiling relation. *)
 
 type subquery = Ast.query -> Value.t array -> int * Value.t array list
-(** [subquery q row] evaluates [q] with [row] pushed as the innermost
-    enclosing scope; returns (column count, result rows). *)
+(** Staged: {!compile} applies [subquery q] once per subquery node, when it
+    compiles the expression, and calls the resulting closure per row. That
+    closure evaluates [q] with the row pushed as the innermost enclosing
+    scope and returns (column count, result rows). Work a provider does
+    before taking the row (the executor plans [q] there) thus happens once
+    per compiled expression, not once per row. *)
 
 type agg_slot = { func : Ast.agg_func; distinct : bool; star : bool; arg : t option }
 (** One distinct aggregate application collected during compilation;

@@ -6,23 +6,25 @@ module Vec = Row_vec
    results, so the engine implements ordinary SQL semantics with no privacy
    awareness.
 
-   This is the compiled/vectorized pipeline: every expression is compiled
-   once per relation into a closure with column offsets pre-resolved
-   ({!Compiled}), rows travel in dynamic-array vectors ({!Row_vec}), and
-   joins/grouping/distinct/set-ops share one [Value.t array]-keyed hashtable
-   ({!Row_table}). The row-at-a-time seed interpreter survives as
-   {!Reference}, the differential-testing oracle: both pipelines must return
-   identical result sets, values and row order. *)
+   Every execution walks a logical plan ({!Plan}): [run] translates the AST
+   with {!Plan.of_query}, the service runs {!Optimizer} plans, and
+   subqueries inside expressions are planned once per compiled expression.
+   Each select body is offered to the {!Columnar} engine first and runs on
+   the row pipeline below when it declines. The row pipeline compiles every
+   expression once per relation into a closure with column offsets
+   pre-resolved ({!Compiled}), rows travel in dynamic-array vectors
+   ({!Row_vec}), and joins/grouping/distinct/set-ops share one
+   [Value.t array]-keyed hashtable ({!Row_table}). The row-at-a-time seed
+   interpreter survives as {!Reference}, the differential-testing oracle:
+   both must return identical result sets, values and row order. *)
 
 exception Error = Compiled.Error
 
 let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
-(* An intermediate relation: each column carries an optional relation alias
-   used for qualified references. *)
+(* Each column carries an optional relation alias used for qualified
+   references. *)
 type header = Compiled.header = { alias : string option; name : string }
-
-type rel = { headers : header array; rows : Value.t array list }
 
 type result_set = { columns : string list; rows : Value.t array list }
 
@@ -105,24 +107,28 @@ let columnar_rel (r : Columnar.result_set) : vrel =
    declined them where it was allowed to run (process-global). *)
 let fallbacks = Atomic.make 0
 
-(* Scan-time column pruning (projection pushdown). When a select joins two or
-   more relations, base-table scans keep only columns whose name is mentioned
-   somewhere in the query (including inside subqueries), so joined rows stay
-   narrow. Name-based and conservative: a kept name is kept in every relation
-   that has it, which preserves unqualified first-match resolution exactly.
-   [None] = keep everything (single-relation FROM, [*] projection, NATURAL
-   join). *)
+(* Scan-time column pruning (projection pushdown). When a select's source
+   joins two or more relations, base-table scans keep only columns whose name
+   is mentioned somewhere in the query (including inside subqueries), so
+   joined rows stay narrow. Name-based and conservative: a kept name is kept
+   in every relation that has it, which preserves unqualified first-match
+   resolution exactly. Filter predicates and join conditions contribute to
+   the kept-name set, so pushed-down predicates never lose their columns.
+   [None] = keep everything: a source without a join (a pushed-down
+   [Filter] over a single scan does not narrow anything worth the copy), a
+   [*] projection, a NATURAL join. *)
 type prune = {
   keep_names : (string, unit) Hashtbl.t;
   keep_whole : (string, unit) Hashtbl.t; (* relations projected via [t.*] *)
 }
 
-let prune_of_select (s : Ast.select) : prune option =
-  let multi =
-    match s.from with
-    | [] | [ Ast.Table _ ] | [ Ast.Derived _ ] -> false
-    | _ -> true
+let prune_of_select_plan (sp : Plan.select_plan) : prune option =
+  let rec has_join = function
+    | Plan.Join _ -> true
+    | Plan.Filter { input; _ } -> has_join input
+    | Plan.Scan _ | Plan.Derived _ -> false
   in
+  let multi = match sp.source with None -> false | Some rel -> has_join rel in
   if not multi then None
   else begin
     let exception Keep_all in
@@ -138,14 +144,17 @@ let prune_of_select (s : Ast.select) : prune option =
           | Ast.Proj_table_star t ->
             Hashtbl.replace keep_whole (String.lowercase_ascii t) ()
           | Ast.Proj_expr (e, _) -> add_expr e)
-        s.projections;
-      Option.iter add_expr s.where;
-      List.iter add_expr s.group_by;
-      Option.iter add_expr s.having;
+        sp.projections;
+      Option.iter add_expr sp.where;
+      List.iter add_expr sp.group_by;
+      Option.iter add_expr sp.having;
       let rec walk = function
-        | Ast.Table _ -> ()
-        | Ast.Derived { query; _ } -> List.iter add_ref (Ast.columns_of_query query)
-        | Ast.Join { left; right; cond; _ } ->
+        | Plan.Scan _ -> ()
+        | Plan.Derived { plan; _ } -> List.iter add_ref (Plan.columns_of_plan plan)
+        | Plan.Filter { pred; input } ->
+          add_expr pred;
+          walk input
+        | Plan.Join { cond; left; right; _ } ->
           (match cond with
           | Ast.On e -> add_expr e
           | Ast.Using cols ->
@@ -157,7 +166,7 @@ let prune_of_select (s : Ast.select) : prune option =
           walk left;
           walk right
       in
-      List.iter walk s.from;
+      Option.iter walk sp.source;
       Some { keep_names; keep_whole }
     with Keep_all -> None
   end
@@ -166,31 +175,15 @@ let check_arity op (l : vrel) (r : vrel) =
   if Array.length l.vh <> Array.length r.vh then
     error "%s operands have different column counts" op
 
-(* --- the compiled pipeline ------------------------------------------------- *)
-
-(* [compile_expr env headers ?agg e]: compile [e] once against [headers];
-   subqueries inside [e] evaluate through [eval_query] with the current row
-   pushed as the innermost scope. *)
-let rec compile_expr env (headers : header array) ?agg (e : Ast.expr) : Compiled.t =
-  Compiled.compile
-    ~subquery:(fun q row ->
-      let r = eval_query { env with outer = (headers, row) :: env.outer } q in
-      (Array.length r.vh, Vec.to_list r.vr))
-    ?agg ~headers ~outer:env.outer e
-
 (* --- table references ----------------------------------------------------- *)
 
-and rel_of_table ~alias ~prune (t : Table.t) : vrel =
-  let qualifier = match alias with Some a -> Some a | None -> Some (Table.name t) in
+let rel_of_table ~alias ~prune (t : Table.t) : vrel =
   let cols = Table.columns t in
   let keep =
     match prune with
     | None -> None
     | Some p ->
-      let q =
-        match qualifier with Some q -> String.lowercase_ascii q | None -> ""
-      in
-      if Hashtbl.mem p.keep_whole q then None
+      if Hashtbl.mem p.keep_whole (String.lowercase_ascii alias) then None
       else begin
         let idx = ref [] in
         Array.iteri
@@ -203,12 +196,12 @@ and rel_of_table ~alias ~prune (t : Table.t) : vrel =
   match keep with
   | None ->
     {
-      vh = Array.map (fun name -> { alias = qualifier; name }) cols;
+      vh = Array.map (fun name -> { alias = Some alias; name }) cols;
       vr = Vec.of_array (Table.rows t);
     }
   | Some idx ->
     {
-      vh = Array.map (fun j -> { alias = qualifier; name = cols.(j) }) idx;
+      vh = Array.map (fun j -> { alias = Some alias; name = cols.(j) }) idx;
       vr =
         Vec.of_array
           (Array.map
@@ -216,23 +209,24 @@ and rel_of_table ~alias ~prune (t : Table.t) : vrel =
              (Table.rows t));
     }
 
-and requalify alias (r : vrel) =
+let requalify alias (r : vrel) =
   { r with vh = Array.map (fun h -> { h with alias = Some alias }) r.vh }
 
-and eval_table_ref env ~prune (tr : Ast.table_ref) : vrel =
-  match tr with
-  | Ast.Table { name; alias } -> (
-    match List.assoc_opt (String.lowercase_ascii name) env.ctes with
-    | Some r -> requalify (Option.value alias ~default:name) r
-    | None -> (
-      match Database.find_opt env.db name with
-      | Some t -> rel_of_table ~alias ~prune t
-      | None -> error "unknown table %s" name))
-  | Ast.Derived { query; alias } -> requalify alias (eval_query env query)
-  | Ast.Join { kind; left; right; cond } ->
-    let l = eval_table_ref env ~prune left in
-    let r = eval_table_ref env ~prune right in
-    join env kind l r cond
+(* --- the compiled pipeline ------------------------------------------------- *)
+
+(* [compile_expr env headers ?agg e]: compile [e] once against [headers].
+   Each subquery inside [e] is planned once, here, and its plan evaluated per
+   row with that row pushed as the innermost scope. Subqueries never trace:
+   EXPLAIN ANALYZE paths name operators of the outer plan only. *)
+let rec compile_expr env (headers : header array) ?agg (e : Ast.expr) : Compiled.t =
+  Compiled.compile
+    ~subquery:(fun q ->
+      let p = Plan.of_query q in
+      fun row ->
+        let env = { env with outer = (headers, row) :: env.outer; trace = None } in
+        let r = eval_plan env ~path:Plan.Analyze.root_path p in
+        (Array.length r.vh, Vec.to_list r.vr))
+    ?agg ~headers ~outer:env.outer e
 
 and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_cond) : vrel =
   let headers = Array.append l.vh r.vh in
@@ -660,33 +654,8 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
 
 (* --- select evaluation ----------------------------------------------------- *)
 
-and cross_all env ~prune = function
-  | [] -> { vh = [||]; vr = Vec.of_list [ [||] ] } (* FROM-less SELECT: one empty row *)
-  | [ tr ] -> eval_table_ref env ~prune tr
-  | tr :: rest ->
-    List.fold_left
-      (fun acc tr ->
-        join env Ast.Cross acc (eval_table_ref env ~prune tr) Ast.Cond_none)
-      (eval_table_ref env ~prune tr)
-      rest
-
-and eval_select env (s : Ast.select) : vrel =
-  if not (columnar_env_ok env) then eval_select_row env s
-  else
-    match Columnar.select ?pool:env.pool env.db s with
-    | Some r -> columnar_rel r
-    | None ->
-      Atomic.incr fallbacks;
-      eval_select_row env s
-
-and eval_select_row env (s : Ast.select) : vrel =
-  let source = cross_all env ~prune:(prune_of_select s) s.from in
-  select_tail env source ~on_where:None ~where:s.where ~projections:s.projections
-    ~group_by:s.group_by ~having:s.having ~distinct:s.distinct
-
 (* The select pipeline after the source relation is materialised: WHERE
-   filter, projection or grouping/aggregation, HAVING, DISTINCT. Shared by
-   the AST path ({!eval_select}) and the plan path ({!eval_select_plan}). *)
+   filter, projection or grouping/aggregation, HAVING, DISTINCT. *)
 and select_tail env (source : vrel) ~(on_where : (int -> unit) option)
     ~(where : Ast.expr option)
     ~(projections : Ast.projection list) ~(group_by : Ast.expr list)
@@ -942,19 +911,6 @@ and set_op_rel (op : Plan.set_op) ~all (l : vrel) (r : vrel) : vrel =
       { vh = l.vh; vr = rows }
     end
 
-and eval_body env (b : Ast.body) : vrel =
-  match b with
-  | Ast.Select s -> eval_select env s
-  | Ast.Union { all; left; right } ->
-    let l = eval_body env left and r = eval_body env right in
-    set_op_rel Plan.Union ~all l r
-  | Ast.Except { all; left; right } ->
-    let l = eval_body env left and r = eval_body env right in
-    set_op_rel Plan.Except ~all l r
-  | Ast.Intersect { all; left; right } ->
-    let l = eval_body env left and r = eval_body env right in
-    set_op_rel Plan.Intersect ~all l r
-
 (* --- full queries ------------------------------------------------------------ *)
 
 and bind_cte env ~name ~columns (r : vrel) : env =
@@ -973,57 +929,9 @@ and bind_cte env ~name ~columns (r : vrel) : env =
   in
   { env with ctes = (String.lowercase_ascii name, r) :: env.ctes }
 
-and eval_query env (q : Ast.query) : vrel =
-  match
-    if columnar_env_ok env && q.ctes = [] then Columnar.query ?pool:env.pool env.db q
-    else None
-  with
-  | Some r -> columnar_rel r
-  | None -> eval_query_row env q
-
-and eval_query_row env (q : Ast.query) : vrel =
-  let env =
-    List.fold_left
-      (fun env (cte : Ast.cte) ->
-        bind_cte env ~name:cte.cte_name ~columns:cte.cte_columns
-          (eval_query env cte.cte_query))
-      env q.ctes
-  in
-  (* When an order key does not resolve against the output relation,
-     re-evaluate the select with the key appended as a hidden projection,
-     sort, and strip the extra columns. Not available under DISTINCT, where
-     SQL itself requires order keys to be projected. *)
-  let r = eval_body env q.body in
-  let visible = Array.length r.vh in
-  let r, order_by =
-    if q.order_by = [] || List.for_all (fun (e, _) -> order_key_visible r.vh e) q.order_by
-    then (r, q.order_by)
-    else
-      match q.body with
-      | Ast.Select s when not s.distinct ->
-        let hidden = ref [] in
-        let order_by =
-          List.mapi
-            (fun i (e, dir) ->
-              if order_key_visible r.vh e then (e, dir)
-              else begin
-                let name = Fmt.str "_ord%d" i in
-                hidden := Ast.Proj_expr (e, Some name) :: !hidden;
-                (Ast.Col { Ast.table = None; column = name }, dir)
-              end)
-            q.order_by
-        in
-        let extended =
-          eval_select env { s with projections = s.projections @ List.rev !hidden }
-        in
-        (extended, order_by)
-      | _ -> (r, q.order_by)
-  in
-  sort_slice env r ~order_by ~limit:q.limit ~offset:q.offset ~visible
-
 (* Decorate-sort-undecorate, hidden-column strip, and OFFSET/LIMIT slice —
-   the tail every full query (AST or plan) runs through. [visible] is the
-   projected width before hidden order keys were appended. *)
+   the tail every full query runs through. [visible] is the projected width
+   before hidden order keys were appended. *)
 and sort_slice env (r : vrel) ~(order_by : (Ast.expr * Ast.order_dir) list)
     ~(limit : int option) ~(offset : int option) ~visible : vrel =
   let r =
@@ -1093,60 +1001,6 @@ and sort_slice env (r : vrel) ~(order_by : (Ast.expr * Ast.order_dir) list)
 
 (* --- logical-plan evaluation ------------------------------------------------- *)
 
-(* Scan pruning over a plan source, mirroring {!prune_of_select}: only when
-   the source tree actually joins (a pushed-down [Filter] over a single scan
-   does not narrow anything worth the copy). Filter predicates and join
-   conditions contribute to the kept-name set, so pushed predicates never
-   lose their columns. *)
-and prune_of_select_plan (sp : Plan.select_plan) : prune option =
-  let rec has_join = function
-    | Plan.Join _ -> true
-    | Plan.Filter { input; _ } -> has_join input
-    | Plan.Scan _ | Plan.Derived _ -> false
-  in
-  let multi = match sp.source with None -> false | Some rel -> has_join rel in
-  if not multi then None
-  else begin
-    let exception Keep_all in
-    let keep_names = Hashtbl.create 32 and keep_whole = Hashtbl.create 4 in
-    let add_ref (c : Ast.col_ref) =
-      Hashtbl.replace keep_names (String.lowercase_ascii c.column) ()
-    in
-    let add_expr e = List.iter add_ref (Ast.deep_expr_columns e) in
-    try
-      List.iter
-        (function
-          | Ast.Proj_star -> raise Keep_all
-          | Ast.Proj_table_star t ->
-            Hashtbl.replace keep_whole (String.lowercase_ascii t) ()
-          | Ast.Proj_expr (e, _) -> add_expr e)
-        sp.projections;
-      Option.iter add_expr sp.where;
-      List.iter add_expr sp.group_by;
-      Option.iter add_expr sp.having;
-      let rec walk = function
-        | Plan.Scan _ -> ()
-        | Plan.Derived { plan; _ } -> List.iter add_ref (Plan.columns_of_plan plan)
-        | Plan.Filter { pred; input } ->
-          add_expr pred;
-          walk input
-        | Plan.Join { cond; left; right; _ } ->
-          (match cond with
-          | Ast.On e -> add_expr e
-          | Ast.Using cols ->
-            List.iter
-              (fun c -> Hashtbl.replace keep_names (String.lowercase_ascii c) ())
-              cols
-          | Ast.Natural -> raise Keep_all (* needs both sides' full column lists *)
-          | Ast.Cond_none -> ());
-          walk left;
-          walk right
-      in
-      Option.iter walk sp.source;
-      Some { keep_names; keep_whole }
-    with Keep_all -> None
-  end
-
 (* [traced env ~path f] wraps one plan operator's evaluation: when the env
    carries a trace, it records output cardinality and inclusive elapsed time
    at [path]; otherwise it is exactly [f ()]. [rows_in] is a cell the
@@ -1171,7 +1025,7 @@ and eval_rel env ~prune ~path (r : Plan.rel) : vrel =
         | Some r -> requalify alias r
         | None -> (
           match Database.find_opt env.db table with
-          | Some t -> rel_of_table ~alias:(Some alias) ~prune t
+          | Some t -> rel_of_table ~alias ~prune t
           | None -> error "unknown table %s" table))
   | Plan.Derived { plan; alias } ->
     traced env ~path (fun () ->
@@ -1221,13 +1075,13 @@ and eval_select_plan_row env ~path (sp : Plan.select_plan) : vrel =
       select_tail env source ~on_where ~where:sp.where ~projections:sp.projections
         ~group_by:sp.group_by ~having:sp.having ~distinct:sp.distinct)
 
-and eval_body_plan env ~path (b : Plan.body_plan) : vrel =
+and eval_plan_body env ~path (b : Plan.body_plan) : vrel =
   match b with
   | Plan.Plan_select sp -> eval_select_plan env ~path sp
   | Plan.Plan_set { op; all; left; right } ->
     traced env ~path (fun () ->
-        let l = eval_body_plan env ~path:(Plan.Analyze.left_path path) left in
-        let r = eval_body_plan env ~path:(Plan.Analyze.right_path path) right in
+        let l = eval_plan_body env ~path:(Plan.Analyze.left_path path) left in
+        let r = eval_plan_body env ~path:(Plan.Analyze.right_path path) right in
         set_op_rel op ~all l r)
 
 and eval_plan env ~path (p : Plan.t) : vrel =
@@ -1249,8 +1103,12 @@ and eval_plan_row env ~path (p : Plan.t) : vrel =
           (env, 0) p.ctes
       in
       let body_path = Plan.Analyze.body_path path in
-      let r = eval_body_plan env ~path:body_path p.body in
+      let r = eval_plan_body env ~path:body_path p.body in
       let visible = Array.length r.vh in
+      (* When an order key does not resolve against the output relation,
+         re-evaluate the select with the key appended as a hidden projection,
+         sort, and strip the extra columns. Not available under DISTINCT,
+         where SQL itself requires order keys to be projected. *)
       let r, order_by =
         if p.order_by = [] || List.for_all (fun (e, _) -> order_key_visible r.vh e) p.order_by
         then (r, p.order_by)
@@ -1285,15 +1143,12 @@ and eval_plan_row env ~path (p : Plan.t) : vrel =
 
 (* --- public API ----------------------------------------------------------------- *)
 
-let columnar_enabled = Columnar.enabled
-
 let columnar_fallbacks () = Atomic.get fallbacks
-
-let run ?pool db (q : Ast.query) : result_set =
-  to_result (eval_query { db; ctes = []; outer = []; pool; trace = None } q)
 
 let run_plan ?pool db (p : Plan.t) : result_set =
   to_result (eval_plan { db; ctes = []; outer = []; pool; trace = None } ~path:Plan.Analyze.root_path p)
+
+let run ?pool db (q : Ast.query) : result_set = run_plan ?pool db (Plan.of_query q)
 
 let run_plan_analyzed ?pool db (p : Plan.t) : result_set * Plan.Analyze.trace =
   let trace = Plan.Analyze.create () in
@@ -1304,12 +1159,11 @@ let run_plan_analyzed ?pool db (p : Plan.t) : result_set * Plan.Analyze.trace =
   in
   (r, trace)
 
-let run_optimized ?pool ?metrics db (q : Ast.query) : result_set =
-  run_plan ?pool db (Optimizer.plan ?metrics q)
+let plan_of ~optimize ?metrics q = if optimize then Optimizer.plan ?metrics q else Plan.of_query q
 
 let explain_analyze ?pool ?(optimize = true) ?metrics ?(show_rows = true) db (q : Ast.query) :
     string * result_set =
-  let p = if optimize then Optimizer.plan ?metrics q else Plan.of_query q in
+  let p = plan_of ~optimize ?metrics q in
   let r, trace = run_plan_analyzed ?pool db p in
   (Plan.render_analyzed ~show_rows ~trace p, r)
 
@@ -1317,7 +1171,7 @@ let run_sql ?pool ?(optimize = false) ?metrics db sql : (result_set, string) res
   match Flex_sql.Parser.parse sql with
   | Stdlib.Error e -> Stdlib.Error e
   | Stdlib.Ok q -> (
-    match if optimize then run_optimized ?pool ?metrics db q else run ?pool db q with
+    match run_plan ?pool db (plan_of ~optimize ?metrics q) with
     | r -> Stdlib.Ok r
     | exception Error msg -> Stdlib.Error ("execution error: " ^ msg)
     | exception Eval.Error msg -> Stdlib.Error ("evaluation error: " ^ msg)

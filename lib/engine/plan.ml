@@ -1,13 +1,13 @@
 module Ast = Flex_sql.Ast
 
-(* The engine's logical plan IR. [of_query] is a structure-preserving
-   translation of the parsed AST: comma-separated FROM items become left-deep
-   cross joins, everything else maps one-to-one, and no rewrite happens here.
-   {!Optimizer.rewrite} then transforms plans (predicate pushdown, join
-   reordering, build-side selection, ...) and {!Executor.run_plan} executes
-   them through the same compiled operators as the AST path. The renderer is
-   the engine's EXPLAIN; an optional {!estimator} annotates operators with
-   estimated cardinalities. *)
+(* The engine's logical plan IR, the only form the executor runs. [of_query]
+   is a structure-preserving translation of the parsed AST: comma-separated
+   FROM items become left-deep cross joins, everything else maps one-to-one,
+   and no rewrite happens here. {!Optimizer.rewrite} then transforms plans
+   (predicate pushdown, join reordering, build-side selection, ...) and
+   {!Executor.run_plan} executes either kind. The renderer is the engine's
+   EXPLAIN; an optional {!estimator} annotates operators with estimated
+   cardinalities. *)
 
 type rel =
   | Scan of { table : string; alias : string }

@@ -1,11 +1,12 @@
 module Ast = Flex_sql.Ast
 
-(** The engine's logical plan IR. {!of_query} translates a parsed AST
-    one-to-one (comma FROM items become left-deep cross joins) with no
-    rewriting; {!Optimizer.rewrite} transforms plans and {!Executor.run_plan}
-    executes them through the same compiled operators as the AST path. The
-    renderer is the engine's EXPLAIN; an optional {!estimator} annotates
-    operators with estimated cardinalities. *)
+(** The engine's logical plan IR, the only form the executor runs.
+    {!of_query} translates a parsed AST one-to-one (comma FROM items become
+    left-deep cross joins) with no rewriting; {!Optimizer.rewrite}
+    transforms plans and {!Executor.run_plan} executes either kind — every
+    execution, including subqueries inside expressions, goes through it.
+    The renderer is the engine's EXPLAIN; an optional {!estimator}
+    annotates operators with estimated cardinalities. *)
 
 type rel =
   | Scan of { table : string; alias : string }

@@ -612,6 +612,18 @@ let edge_case_queries =
     "SELECT name, (SELECT COUNT(*) FROM pets t WHERE t.owner_id = p.id) FROM people p";
     "SELECT name FROM people p WHERE age > \
      (SELECT AVG(age) FROM people q WHERE q.city_id = p.city_id)";
+    (* subqueries planned once per compiled expression: a second level of
+       correlation reaching past its parent to the outermost row, a
+       correlated subquery over a CTE the outer query binds, and a scalar
+       subquery inside a CTE body *)
+    "SELECT name FROM people p WHERE EXISTS \
+     (SELECT 1 FROM pets t WHERE t.owner_id = p.id AND EXISTS \
+     (SELECT 1 FROM people q WHERE q.city_id = p.city_id AND q.id <> p.id \
+     AND t.kind = 'dog'))";
+    "WITH owned AS (SELECT owner_id, kind FROM pets) \
+     SELECT name, (SELECT COUNT(*) FROM owned o WHERE o.owner_id = p.id) FROM people p";
+    "WITH sized AS (SELECT c.id, (SELECT COUNT(*) FROM people p WHERE p.city_id = c.id) AS n \
+     FROM cities c) SELECT id, n FROM sized ORDER BY n DESC, id";
     (* LIMIT / OFFSET *)
     "SELECT name FROM people ORDER BY id LIMIT 2 OFFSET 1";
     "SELECT name FROM people ORDER BY id LIMIT 0";
@@ -639,10 +651,12 @@ let suites = suites @ [ ("executor-differential", differential_tests) ]
 
 (* --- columnar 3-way differential: reference = row-compiled = columnar ----- *)
 
+module Columnar = Flex_engine.Columnar
+
 let with_columnar on f =
-  let prev = !Executor.columnar_enabled in
-  Executor.columnar_enabled := on;
-  Fun.protect ~finally:(fun () -> Executor.columnar_enabled := prev) f
+  let prev = !Columnar.enabled in
+  Columnar.enabled := on;
+  Fun.protect ~finally:(fun () -> Columnar.enabled := prev) f
 
 (* The columnar engine must be indistinguishable from the row pipeline:
    reference agrees with both, and the two compiled paths agree with each
@@ -770,9 +784,9 @@ module Optimizer = Flex_engine.Optimizer
 module Aggregate = Flex_engine.Aggregate
 
 (* The service executes optimizer plans, whose hash joins may build on the
-   left input ([build=left]); the AST path above never does. Columnar must
-   match the row engine on plans as well: same cells, same row order, same
-   ok/error split. *)
+   left input ([build=left]); the unoptimized [Plan.of_query] plans above
+   never do. Columnar must match the row engine on those plans as well: same
+   cells, same row order, same ok/error split. *)
 let run_plan_result ?pool db plan =
   match Executor.run_plan ?pool db plan with
   | r -> Ok r

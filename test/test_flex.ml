@@ -57,13 +57,14 @@ let mechanism_tests =
         (* the DP pipeline must be invariant under the execution engine: an
            exact COUNT plus a fixed RNG stream gives the same noisy release
            whether the row or the columnar engine computed the truth — on
-           the AST path and on the optimizer plans the server executes *)
+           the unoptimized plan of the query as written and on the
+           optimizer plans the server executes *)
         let _, db, metrics = setup () in
         let with_columnar on f =
-          let prev = !Flex_engine.Executor.columnar_enabled in
-          Flex_engine.Executor.columnar_enabled := on;
+          let prev = !Flex_engine.Columnar.enabled in
+          Flex_engine.Columnar.enabled := on;
           Fun.protect
-            ~finally:(fun () -> Flex_engine.Executor.columnar_enabled := prev)
+            ~finally:(fun () -> Flex_engine.Columnar.enabled := prev)
             f
         in
         let same_release sql =

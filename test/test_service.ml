@@ -672,8 +672,16 @@ let server_tests =
         (* powers of two: every total below is exact whatever the interleaving *)
         let eps = 0.125 and d = Float.ldexp 1.0 (-30) in
         let spenders_done = Atomic.make 0 in
+        (* set once the main thread has taken a report; each spender waits
+           for it halfway through, so at least one report always lands while
+           spends are still in flight, however the domains are scheduled *)
+        let reported = Atomic.make false in
         let spender () =
-          for _ = 1 to 2048 do
+          for i = 1 to 2048 do
+            if i = 1025 then
+              while not (Atomic.get reported) do
+                Domain.cpu_relax ()
+              done;
             ignore (Ledger.spend ledger ~analyst:"team" ~epsilon:eps ~delta:d ~label:"q")
           done;
           Atomic.incr spenders_done
@@ -681,7 +689,9 @@ let server_tests =
         let domains = List.init 2 (fun _ -> Domain.spawn spender) in
         let reports = ref 0 in
         let check () =
-          match Server.handle server session Wire.Budget_info with
+          let response = Server.handle server session Wire.Budget_info in
+          Atomic.set reported true;
+          match response with
           | Wire.Budget_report r ->
             incr reports;
             if r.epsilon_spent +. r.remaining_epsilon <> r.epsilon_limit then
