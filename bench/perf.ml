@@ -1,7 +1,7 @@
 (* Tracked engine performance benchmark: compiled/vectorized {!Executor}
-   against the row-at-a-time {!Reference} interpreter on five query shapes
-   (scan, filter, equijoin, group-aggregate, order-limit) over the Uber and
-   TPC-H substrates at two scales each.
+   against the row-at-a-time {!Reference} interpreter on six query shapes
+   (scan, filter, equijoin, group-aggregate, a date-range count,
+   order-limit) over the Uber and TPC-H substrates at two scales each.
 
      dune exec bench/perf.exe                       -- full run, writes BENCH_engine.json
      dune exec bench/perf.exe -- --out FILE         -- choose the output path
@@ -121,6 +121,13 @@ let uber_shapes =
          GROUP BY city_id HAVING COUNT(*) > 1";
     };
     {
+      sname = "range_count";
+      table = "trips";
+      sql =
+        "SELECT COUNT(*) FROM trips WHERE requested_at >= '2016-03-01' \
+         AND requested_at < '2016-06-01' AND city_id = 3";
+    };
+    {
       sname = "order_limit";
       table = "trips";
       sql = "SELECT id, fare FROM trips ORDER BY fare DESC, id LIMIT 100";
@@ -151,6 +158,13 @@ let tpch_shapes =
       sql =
         "SELECT l_returnflag, l_linestatus, COUNT(*), SUM(l_quantity), AVG(l_extendedprice) \
          FROM lineitem GROUP BY l_returnflag, l_linestatus";
+    };
+    {
+      sname = "range_count";
+      table = "lineitem";
+      sql =
+        "SELECT COUNT(*) FROM lineitem WHERE l_shipdate >= '1994-01-01' \
+         AND l_shipdate < '1995-01-01' AND l_quantity < 24";
     };
     {
       sname = "order_limit";
@@ -305,7 +319,7 @@ let () =
     List.iter
       (fun r ->
         match r.shape with
-        | "scan" | "filter" | "group_agg" ->
+        | "scan" | "filter" | "group_agg" | "range_count" ->
           if r.columnar_ns >= r.compiled_ns then
             Fmt.failwith
               "smoke: columnar regression on %s/%s/%s: columnar %.0f ns >= row %.0f ns"

@@ -13,8 +13,10 @@
      and must never be read unmasked. String columns additionally encode
      NULL as dictionary code [-1], so equality kernels need no mask.
    - String columns are dictionary-encoded in first-appearance order:
-     [codes.(i)] indexes [dict], so [=]/[<>] filters and GROUP BY compare
-     ints, while range predicates use the parallel [vals] array. *)
+     [codes.(i)] indexes [dict], so filters and GROUP BY compare ints:
+     [=]/[<>] find their literal's code in [dict_tbl], and range predicates
+     test each dictionary entry once, or the parallel [vals] array when the
+     rows filtered are fewer than the entries. *)
 
 type strings = {
   vals : string array;  (* per-row string; "" at NULL *)

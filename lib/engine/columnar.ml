@@ -6,7 +6,8 @@ module Vec = Row_vec
    (either hash-build orientation) with conjunctive filters, column
    projections/group keys, and the standard aggregates — and runs them
    through vectorized kernels: filters become selection vectors over typed
-   arrays (no row materialisation), the hash equijoin extracts keys
+   arrays (no row materialisation; ranges and dictionary pass tables, see
+   the filter kernels below), the hash equijoin extracts keys
    column-wise (with the dense-int counting-sort fast path of the row
    engine), GROUP BY aggregates accumulate into per-group typed arrays, and
    ORDER BY+LIMIT runs {!Key_sort} top-K over column key arrays. Everything
@@ -168,11 +169,34 @@ let value_of_lit : Ast.lit -> Value.t = function
 
 (* --- filter kernels --------------------------------------------------------- *)
 
-(* A compiled per-table predicate over physical row indices. Typed kernels
-   are total (no errors, Bool/Null results only); generic ones evaluate a
-   compiled closure over a scratch row and surface the raw value so the
-   caller can replicate 3-valued AND semantics. *)
-type pred = P_typed of (int -> bool) | P_generic of (int -> Value.t)
+(* A typed conjunct runs as a kernel over physical row indices. Kernels are
+   total (no errors, no NULL results), so a group's kernels may run in any
+   order and short-circuit each other.
+   - [K_ints]/[K_floats]: an inclusive range of Value.compare's order, empty
+     when [lo > hi]. That order on floats is Stdlib.compare's: NaN equals
+     itself and sorts below every other float, so NaN cells pass by the
+     [nan] flag and the rest by IEEE comparison with the ends. [mask] is the
+     column's NULL mask, [||] when it has none.
+   - [K_codes]: a pass table over a string column's dictionary, at
+     [code + 1]; slot 0 is NULL and never passes. (A string [=] is a
+     one-code [K_ints] over the codes, whose NULL code -1 never matches.)
+   - [K_test]: any other typed test, as a closure. *)
+type kernel =
+  | K_ints of { a : int array; mask : bool array; lo : int; hi : int }
+  | K_floats of { a : float array; mask : bool array; nan : bool; lo : float; hi : float }
+  | K_codes of { codes : int array; pass : Bytes.t }
+  | K_test of (int -> bool)
+
+(* A compiled conjunct. A string-vs-literal test waits for its group: all the
+   tests of one group on one column become a single kernel. Generic
+   conjuncts evaluate a compiled closure over a scratch row and surface the
+   raw value so the caller can replicate 3-valued AND semantics. *)
+type pred =
+  | P_kernel of kernel
+  | P_dict of Chunk.strings * (Ast.binop * string)
+  | P_generic of (int -> Value.t)
+
+let p_test f = P_kernel (K_test f)
 
 let test_op (op : Ast.binop) (c : int) =
   match op with
@@ -209,48 +233,128 @@ let lit_rank : Value.t -> int = function
   | Value.Int _ | Value.Float _ -> 2
   | Value.String _ -> 3
 
+(* The smallest int satisfying [ok], which is monotone over the ints (false
+   up to some point, true from there on); [None] if none does. *)
+let first_int ok =
+  if not (ok max_int) then None
+  else if ok min_int then Some min_int
+  else
+    (* not (ok lo), ok hi; [mid] is the floor average, free of overflow *)
+    let rec go lo hi =
+      let mid = (lo asr 1) + (hi asr 1) + (lo land hi land 1) in
+      if mid = lo then hi else if ok mid then go lo mid else go mid hi
+    in
+    Some (go min_int max_int)
+
+(* The ints whose Value.compare against the numeric [lit] satisfies [op]
+   (not [<>]), as an inclusive range. Value.compare is monotone in the int,
+   against a float literal too (float_of_int is monotone), so the ends are
+   found by bisection on Value.compare itself. *)
+let int_range op (lit : Value.t) =
+  let first ok = first_int (fun x -> ok (Value.compare (Value.Int x) lit)) in
+  let empty = (1, 0) in
+  let from = function None -> empty | Some g -> (g, max_int) in
+  let below = function
+    | None -> (min_int, max_int)
+    | Some g -> if g = min_int then empty else (min_int, g - 1)
+  in
+  match op with
+  | Ast.Ge -> from (first (fun c -> c >= 0))
+  | Ast.Gt -> from (first (fun c -> c > 0))
+  | Ast.Lt -> below (first (fun c -> c >= 0))
+  | Ast.Le -> below (first (fun c -> c > 0))
+  | Ast.Eq ->
+      let l1, h1 = from (first (fun c -> c >= 0)) and l2, h2 = below (first (fun c -> c > 0)) in
+      (max l1 l2, min h1 h2)
+  | _ -> assert false
+
+(* The floats whose Value.compare against the numeric [lit] satisfies [op]
+   (not [<>]): [(nan, (lo, hi))], NaN passing iff [nan] and any other float
+   iff it lies in [lo, hi]. Off NaN, Stdlib.compare is IEEE comparison
+   (-0.0 = 0.0), and floats are discrete, so a strict bound is the next
+   float inwards. *)
+let float_range op (lit : Value.t) =
+  let f = match lit with Value.Float f -> f | Value.Int k -> float_of_int k | _ -> assert false in
+  let all = (neg_infinity, infinity) and none = (infinity, neg_infinity) in
+  if Float.is_nan f then (test_op op 0, if test_op op 1 then all else none)
+  else
+    ( test_op op (-1),
+      match op with
+      | Ast.Eq -> (f, f)
+      | Ast.Ge -> (f, infinity)
+      | Ast.Le -> (neg_infinity, f)
+      | Ast.Gt -> if f = infinity then none else (Float.succ f, infinity)
+      | Ast.Lt -> if f = neg_infinity then none else (neg_infinity, Float.pred f)
+      | _ -> assert false )
+
+(* Whether a kernel passes physical row [p], as 1 or 0, without a branch on
+   the data: a filter's pass/fail pattern is unpredictable, and a mispredicted
+   branch costs more than the test. An int range is one unsigned comparison
+   (flipping the sign bit maps unsigned order onto signed order); [span] is
+   [(hi - lo) lxor min_int], which needs [lo <= hi]. *)
+external bit : bool -> int = "%identity"
+
+let[@inline] int_bit (a : int array) (mask : bool array) lo span p =
+  let b = bit ((a.(p) - lo) lxor min_int <= span) in
+  if Array.length mask = 0 then b else b land bit (not mask.(p))
+
+let[@inline] float_bit (a : float array) (mask : bool array) nan (lo : float) hi p =
+  let x = a.(p) in
+  (* [x = x] fails only at NaN *)
+  let b = if x = x then bit (lo <= x) land bit (x <= hi) else bit nan in
+  if Array.length mask = 0 then b else b land bit (not mask.(p))
+
+let[@inline] code_bit (codes : int array) pass p = Char.code (Bytes.get pass (codes.(p) + 1))
+
+(* A kernel no row can pass: its group selects nothing. *)
+let selects_nothing = function
+  | K_ints { lo; hi; _ } -> lo > hi
+  | K_floats { nan; lo; hi; _ } -> (not nan) && lo > hi
+  | K_codes { pass; _ } -> not (Bytes.contains pass '\001')
+  | K_test _ -> false
+
+(* [k] as a per-row test, for groups that also hold generic conjuncts. *)
+let kernel_test : kernel -> int -> bool = function
+  | K_ints { lo; hi; _ } when lo > hi -> fun _ -> false
+  | K_ints { a; mask; lo; hi } ->
+      let span = (hi - lo) lxor min_int in
+      fun p -> int_bit a mask lo span p = 1
+  | K_floats { a; mask; nan; lo; hi } -> fun p -> float_bit a mask nan lo hi p = 1
+  | K_codes { codes; pass } -> fun p -> code_bit codes pass p = 1
+  | K_test f -> f
+
 (* column-vs-literal comparison: SQL 3-valued — NULL operand drops the row *)
 let col_vs_lit (col : Chunk.col) op (lit : Value.t) : pred option =
   let nn = not_null_fn col in
+  let mask = Option.value col.Chunk.nulls ~default:[||] in
   let const_rank () =
     (* ranks differ for every non-NULL cell, so the comparison is constant *)
-    if Value.is_null lit then Some (P_typed (fun _ -> false))
+    if Value.is_null lit then Some (p_test (fun _ -> false))
     else begin
       let c = compare (col_rank col.Chunk.data) (lit_rank lit) in
-      if test_op op c then Some (P_typed nn) else Some (P_typed (fun _ -> false))
+      if test_op op c then Some (p_test nn) else Some (p_test (fun _ -> false))
     end
+  in
+  (* [range op] is the kernel for [op]; [<>] is not a range, but the
+     complement of [=]'s *)
+  let numeric range =
+    if op = Ast.Neq then begin
+      let eq = kernel_test (range Ast.Eq) in
+      Some (p_test (fun p -> nn p && not (eq p)))
+    end
+    else Some (P_kernel (range op))
   in
   match (col.Chunk.data, lit) with
   | Chunk.Boxed, _ -> None
-  | Chunk.Ints a, Value.Int k -> Some (P_typed (fun p -> nn p && test_op op (compare a.(p) k)))
-  | Chunk.Ints a, Value.Float f ->
-      Some (P_typed (fun p -> nn p && test_op op (compare (float_of_int a.(p)) f)))
-  | Chunk.Floats a, Value.Int k ->
-      let f = float_of_int k in
-      Some (P_typed (fun p -> nn p && test_op op (compare (a.(p) : float) f)))
-  | Chunk.Floats a, Value.Float f ->
-      Some (P_typed (fun p -> nn p && test_op op (compare (a.(p) : float) f)))
-  | Chunk.Strings s, Value.String v -> (
-      match op with
-      | Ast.Eq -> (
-          match Chunk.dict_code s v with
-          | Some c -> Some (P_typed (fun p -> s.Chunk.codes.(p) = c))
-          | None -> Some (P_typed (fun _ -> false)))
-      | Ast.Neq -> (
-          match Chunk.dict_code s v with
-          | Some c ->
-              Some
-                (P_typed
-                   (fun p ->
-                     let x = s.Chunk.codes.(p) in
-                     x >= 0 && x <> c))
-          | None -> Some (P_typed (fun p -> s.Chunk.codes.(p) >= 0)))
-      | _ ->
-          Some
-            (P_typed
-               (fun p ->
-                 s.Chunk.codes.(p) >= 0 && test_op op (compare (s.Chunk.vals.(p) : string) v)))
-      )
+  | Chunk.Ints a, (Value.Int _ | Value.Float _) ->
+      numeric (fun op ->
+          let lo, hi = int_range op lit in
+          K_ints { a; mask; lo; hi })
+  | Chunk.Floats a, (Value.Int _ | Value.Float _) ->
+      numeric (fun op ->
+          let nan, (lo, hi) = float_range op lit in
+          K_floats { a; mask; nan; lo; hi })
+  | Chunk.Strings s, Value.String v -> Some (P_dict (s, (op, v)))
   | (Chunk.Ints _ | Chunk.Floats _ | Chunk.Strings _), _ -> const_rank ()
 
 let col_vs_col (ca : Chunk.col) op (cb : Chunk.col) : pred option =
@@ -258,28 +362,26 @@ let col_vs_col (ca : Chunk.col) op (cb : Chunk.col) : pred option =
   match (ca.Chunk.data, cb.Chunk.data) with
   | Chunk.Boxed, _ | _, Chunk.Boxed -> None
   | Chunk.Ints a, Chunk.Ints b ->
-      Some (P_typed (fun p -> nna p && nnb p && test_op op (compare a.(p) b.(p))))
+      Some (p_test (fun p -> nna p && nnb p && test_op op (compare a.(p) b.(p))))
   | Chunk.Floats a, Chunk.Floats b ->
-      Some (P_typed (fun p -> nna p && nnb p && test_op op (compare (a.(p) : float) b.(p))))
+      Some (p_test (fun p -> nna p && nnb p && test_op op (compare (a.(p) : float) b.(p))))
   | Chunk.Ints a, Chunk.Floats b ->
-      Some
-        (P_typed (fun p -> nna p && nnb p && test_op op (compare (float_of_int a.(p)) b.(p))))
+      Some (p_test (fun p -> nna p && nnb p && test_op op (compare (float_of_int a.(p)) b.(p))))
   | Chunk.Floats a, Chunk.Ints b ->
       Some
-        (P_typed
-           (fun p -> nna p && nnb p && test_op op (compare (a.(p) : float) (float_of_int b.(p)))))
+        (p_test (fun p ->
+             nna p && nnb p && test_op op (compare (a.(p) : float) (float_of_int b.(p)))))
   | Chunk.Strings a, Chunk.Strings b ->
       Some
-        (P_typed
-           (fun p ->
+        (p_test (fun p ->
              a.Chunk.codes.(p) >= 0
              && b.Chunk.codes.(p) >= 0
              && test_op op (compare (a.Chunk.vals.(p) : string) b.Chunk.vals.(p))))
   | da, db ->
       (* distinct typed ranks: constant comparison wherever both non-NULL *)
       let c = compare (col_rank da) (col_rank db) in
-      if test_op op c then Some (P_typed (fun p -> nna p && nnb p))
-      else Some (P_typed (fun _ -> false))
+      if test_op op c then Some (p_test (fun p -> nna p && nnb p))
+      else Some (p_test (fun _ -> false))
 
 (* Subquery hook for compiled predicates and aggregates. Recognition already
    rejected subqueries, so it never runs. It declines only when applied to a
@@ -313,7 +415,7 @@ let compile_pred ctx t (e : Ast.expr) : pred =
               | None -> fun _ -> false
               | Some m -> fun p -> m.(p))
         in
-        Some (P_typed (if negated then fun p -> not (isnull p) else isnull))
+        Some (p_test (if negated then fun p -> not (isnull p) else isnull))
     | _ -> None
   in
   match typed with
@@ -338,72 +440,187 @@ let compile_pred ctx t (e : Ast.expr) : pred =
           List.iter (fun (ci, off) -> scratch.(ci) <- rows.(p).(off)) needed;
           closure scratch)
 
-(* [passes typed k p]: conjuncts [k..] of [typed] all accept physical row [p]. *)
-let rec passes (typed : (int -> bool) array) k p =
-  k >= Array.length typed || (typed.(k) p && passes typed (k + 1) p)
+(* All the tests of a group on one string column as one kernel, making no
+   more string comparisons than per-row tests would. An [=] finds its
+   literal's code with one lookup, and only that entry can pass; a [<>]
+   drops its literal's code the same way. Range tests run once per entry of
+   a pass table when the dictionary is no larger than the group's input,
+   and per row otherwise. *)
+let dict_kernel ~rows ((s : Chunk.strings), tests) =
+  let codes = s.Chunk.codes and dict = s.Chunk.dict in
+  let codes_of op =
+    List.filter_map (fun (o, v) -> if o = op then Some (Chunk.dict_code s v) else None) tests
+  in
+  let dropped = List.filter_map Fun.id (codes_of Ast.Neq) in
+  let ranges = List.filter (fun (op, _) -> op <> Ast.Eq && op <> Ast.Neq) tests in
+  (* per entry or row: no closure allocated *)
+  let rec mem (c : int) = function [] -> false | d :: rest -> c = d || mem c rest in
+  let kept c = c >= 0 && not (mem c dropped) in
+  let rec pass_all v = function
+    | [] -> true
+    | (op, lit) :: rest -> test_op op (compare (v : string) lit) && pass_all v rest
+  in
+  let in_range v = pass_all v ranges in
+  match codes_of Ast.Eq with
+  | Some c :: rest when List.for_all (( = ) (Some c)) rest && kept c && in_range dict.(c) ->
+      K_ints { a = codes; mask = [||]; lo = c; hi = c }
+  | _ :: _ ->
+      (* the entry fails another test, a literal is absent from the
+         dictionary, or two literals differ *)
+      K_ints { a = codes; mask = [||]; lo = 1; hi = 0 }
+  | [] when Array.length dict <= rows ->
+      let pass = Bytes.make (Array.length dict + 1) '\000' in
+      Array.iteri (fun c v -> if kept c && in_range v then Bytes.set pass (c + 1) '\001') dict;
+      K_codes { codes; pass }
+  | [] -> K_test (fun p -> kept codes.(p) && in_range s.Chunk.vals.(p))
+
+(* A group's typed conjuncts as kernels over [rows] input rows: the ranges,
+   then one per string column, then the closures. *)
+let kernels_of ~rows preds =
+  let rec add_dict s t = function
+    | [] -> [ (s, [ t ]) ]
+    | (s', ts) :: rest when s' == s -> (s', ts @ [ t ]) :: rest
+    | d :: rest -> d :: add_dict s t rest
+  in
+  let ranges, dicts, tests =
+    List.fold_left
+      (fun (r, d, t) -> function
+        | P_kernel (K_test _ as k) -> (r, d, k :: t)
+        | P_kernel k -> (k :: r, d, t)
+        | P_dict (s, test) -> (r, add_dict s test d, t)
+        | P_generic _ -> (r, d, t))
+      ([], [], []) preds
+  in
+  List.rev ranges @ List.map (dict_kernel ~rows) dicts @ List.rev tests
+
+(* How many of the rows [src.(lo..hi-1)] (physical rows [lo..hi-1] when
+   [ident]) pass [k]. Here and in [select], [k] is not {!selects_nothing}:
+   an int range's [span] needs [lo <= hi]. *)
+let count k ~ident (src : int array) lo hi =
+  let w = ref 0 in
+  (match k with
+  | K_ints { a; mask; lo = l; hi = h } ->
+      let span = (h - l) lxor min_int in
+      for i = lo to hi - 1 do
+        w := !w + int_bit a mask l span (if ident then i else src.(i))
+      done
+  | K_floats { a; mask; nan; lo = l; hi = h } ->
+      for i = lo to hi - 1 do
+        w := !w + float_bit a mask nan l h (if ident then i else src.(i))
+      done
+  | K_codes { codes; pass } ->
+      for i = lo to hi - 1 do
+        w := !w + code_bit codes pass (if ident then i else src.(i))
+      done
+  | K_test f ->
+      for i = lo to hi - 1 do
+        w := !w + bit (f (if ident then i else src.(i)))
+      done);
+  !w
+
+(* The same rows that pass [k], compacted into [out] from index 0 until it is
+   full; returns how many were kept. Every row is stored at the cursor,
+   which only a passing row advances. [out] may be [src]: the cursor never
+   overtakes the read position. *)
+let select k ~ident (src : int array) lo hi (out : int array) =
+  let w = ref 0 and i = ref lo and cap = Array.length out in
+  (match k with
+  | K_ints { a; mask; lo = l; hi = h } ->
+      let span = (h - l) lxor min_int in
+      while !i < hi && !w < cap do
+        let p = if ident then !i else src.(!i) in
+        out.(!w) <- p;
+        w := !w + int_bit a mask l span p;
+        incr i
+      done
+  | K_floats { a; mask; nan; lo = l; hi = h } ->
+      while !i < hi && !w < cap do
+        let p = if ident then !i else src.(!i) in
+        out.(!w) <- p;
+        w := !w + float_bit a mask nan l h p;
+        incr i
+      done
+  | K_codes { codes; pass } ->
+      while !i < hi && !w < cap do
+        let p = if ident then !i else src.(!i) in
+        out.(!w) <- p;
+        w := !w + code_bit codes pass p;
+        incr i
+      done
+  | K_test f ->
+      while !i < hi && !w < cap do
+        let p = if ident then !i else src.(!i) in
+        out.(!w) <- p;
+        w := !w + bit (f p);
+        incr i
+      done);
+  !w
 
 (* Apply one predicate group to the surviving physical rows of a table.
-   Within a group every generic conjunct is evaluated on every input row —
-   the row engine's AND evaluates all operands before combining, so its
-   error/3-valued behaviour depends on all of them — while typed conjuncts
-   (total, error-free) may short-circuit each other. All-typed groups run
-   morsel-parallel over chunk ranges (order-preserving concat); generic
-   conjuncts share a compiled scratch row and stay sequential. Survivors go
-   into an int buffer sized to the morsel, so the per-row loop allocates
-   nothing. *)
+   A group with a generic conjunct runs row by row and sequentially, its
+   conjuncts sharing a compiled scratch row: every generic conjunct is
+   evaluated on every input row — the row engine's AND evaluates all
+   operands before combining, so its error/3-valued behaviour depends on all
+   of them — while typed ones may short-circuit each other. An all-typed
+   group runs as kernels, morsel-parallel over the input (order-preserving
+   concat). Each morsel runs its kernels in turn: the first counts its
+   survivors and fills an array of exactly that size (a closure, too dear
+   to run twice, fills a morsel-sized one), later ones compact that array
+   in place, so a morsel allocates only for survivors. *)
 let apply_group pool (chunk : Chunk.t) (sel : int array option) (conjs : Ast.expr list)
     ~strict ~(compile : Ast.expr -> pred) : int array option =
-  let preds = List.map compile conjs in
-  let typed = Array.of_list (List.filter_map (function P_typed f -> Some f | _ -> None) preds) in
-  let gens = Array.of_list (List.filter_map (function P_generic g -> Some g | _ -> None) preds) in
-  let keep p =
-    let ok = ref (passes typed 0 p) in
-    for k = 0 to Array.length gens - 1 do
-      match gens.(k) p with
-      | Value.Bool true -> ()
-      | Value.Bool false | Value.Null -> ok := false
-      | _ ->
-          (* the row engine's AND raises on non-boolean operands; a lone
-             conjunct just falls to is_truthy = false *)
-          if strict then fallback () else ok := false
-    done;
-    !ok
-  in
-  let pool = if Array.length gens = 0 then pool else None in
   let nin = match sel with None -> chunk.Chunk.n | Some s -> Array.length s in
-  let chunkf lo hi =
-    let out = Array.make (hi - lo) 0 and w = ref 0 in
-    (match sel with
-    | None ->
-        for p = lo to hi - 1 do
-          if keep p then begin
-            out.(!w) <- p;
-            incr w
-          end
-        done
-    | Some s ->
-        for i = lo to hi - 1 do
-          let p = s.(i) in
-          if keep p then begin
-            out.(!w) <- p;
-            incr w
-          end
-        done);
-    (out, !w)
-  in
-  match Parallel.gather pool nin chunkf with
-  | None ->
-      let out, w = chunkf 0 nin in
-      Some (if w = nin then out else Array.sub out 0 w)
-  | Some parts ->
-      let out = Array.make (Array.fold_left (fun acc (_, w) -> acc + w) 0 parts) 0 in
-      ignore
-        (Array.fold_left
-           (fun pos (part, w) ->
-             Array.blit part 0 out pos w;
-             pos + w)
-           0 parts);
-      Some out
+  let preds = List.map compile conjs in
+  let kernels = kernels_of ~rows:nin preds in
+  let gens = Array.of_list (List.filter_map (function P_generic g -> Some g | _ -> None) preds) in
+  if Array.length gens > 0 then begin
+    let typed = Array.of_list (List.map kernel_test kernels) in
+    let rec passes k p = k >= Array.length typed || (typed.(k) p && passes (k + 1) p) in
+    let keep p =
+      let ok = ref (passes 0 p) in
+      for k = 0 to Array.length gens - 1 do
+        match gens.(k) p with
+        | Value.Bool true -> ()
+        | Value.Bool false | Value.Null -> ok := false
+        | _ ->
+            (* the row engine's AND raises on non-boolean operands; a lone
+               conjunct just falls to is_truthy = false *)
+            if strict then fallback () else ok := false
+      done;
+      !ok
+    in
+    let out = Array.make nin 0 and w = ref 0 in
+    for i = 0 to nin - 1 do
+      let p = match sel with None -> i | Some s -> s.(i) in
+      if keep p then begin
+        out.(!w) <- p;
+        incr w
+      end
+    done;
+    Some (if !w = nin then out else Array.sub out 0 !w)
+  end
+  else if List.exists selects_nothing kernels then Some [||]
+  else begin
+    let ks = Array.of_list kernels in
+    let ident, src = match sel with None -> (true, [||]) | Some s -> (false, s) in
+    let chunkf lo hi =
+      let buf =
+        match ks.(0) with
+        | K_test _ ->
+            (* a closure is too dear to run twice *)
+            Array.make (hi - lo) 0
+        | k -> Array.make (count k ~ident src lo hi) 0
+      in
+      let w = ref (select ks.(0) ~ident src lo hi buf) in
+      for j = 1 to Array.length ks - 1 do
+        w := select ks.(j) ~ident:false buf 0 !w buf
+      done;
+      if !w = Array.length buf then buf else Array.sub buf 0 !w
+    in
+    match Parallel.gather pool nin chunkf with
+    | None -> Some (chunkf 0 nin)
+    | Some parts -> Some (Array.concat (Array.to_list parts))
+  end
 
 let selection_of ctx t (s : step) : int array option =
   let compile = compile_pred ctx t in
@@ -1373,8 +1590,11 @@ let group_ids ctx (slab : slab) (kcis : int list) ~want_rows =
    logical rows in ascending order — the row engine's exact accumulation
    order, so float sums see the same addition sequence. The loop bodies are
    specialised on (map, null mask) so the hot path runs without per-row
-   closure calls; an absent mask is the empty array sentinel. *)
+   closure calls; an absent mask is the empty array sentinel, and so is an
+   absent [gids] when every row is in group 0 (no GROUP BY). *)
 type eager = { run : unit -> unit; value : int -> Value.t }
+
+let[@inline] gid (gids : int array) i = if Array.length gids = 0 then 0 else gids.(i)
 
 let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array)
     ((func, distinct, arg) : Ast.agg_func * bool * Ast.agg_arg) : eager option =
@@ -1400,13 +1620,13 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       if Array.length mask = 0 then
                         for i = 0 to n - 1 do
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1
                         done
                       else
                         for i = 0 to n - 1 do
                           if not mask.(i) then begin
-                            let g = gids.(i) in
+                            let g = gid gids i in
                             nncnt.(g) <- nncnt.(g) + 1
                           end
                         done
@@ -1414,7 +1634,7 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                       for i = 0 to n - 1 do
                         let p = m.(i) in
                         if Array.length mask = 0 || not mask.(p) then begin
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1
                         end
                       done
@@ -1427,14 +1647,14 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       for i = 0 to n - 1 do
                         if codes.(i) >= 0 then begin
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1
                         end
                       done
                   | Some m ->
                       for i = 0 to n - 1 do
                         if codes.(m.(i)) >= 0 then begin
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1
                         end
                       done
@@ -1447,14 +1667,14 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       if Array.length mask = 0 then
                         for i = 0 to n - 1 do
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1;
                           isum.(g) <- isum.(g) + a.(i)
                         done
                       else
                         for i = 0 to n - 1 do
                           if not mask.(i) then begin
-                            let g = gids.(i) in
+                            let g = gid gids i in
                             nncnt.(g) <- nncnt.(g) + 1;
                             isum.(g) <- isum.(g) + a.(i)
                           end
@@ -1463,7 +1683,7 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                       for i = 0 to n - 1 do
                         let p = m.(i) in
                         if Array.length mask = 0 || not mask.(p) then begin
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1;
                           isum.(g) <- isum.(g) + a.(p)
                         end
@@ -1482,14 +1702,14 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       if Array.length mask = 0 then
                         for i = 0 to n - 1 do
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1;
                           fsum.(g) <- fsum.(g) +. a.(i)
                         done
                       else
                         for i = 0 to n - 1 do
                           if not mask.(i) then begin
-                            let g = gids.(i) in
+                            let g = gid gids i in
                             nncnt.(g) <- nncnt.(g) + 1;
                             fsum.(g) <- fsum.(g) +. a.(i)
                           end
@@ -1498,7 +1718,7 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                       for i = 0 to n - 1 do
                         let p = m.(i) in
                         if Array.length mask = 0 || not mask.(p) then begin
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1;
                           fsum.(g) <- fsum.(g) +. a.(p)
                         end
@@ -1519,14 +1739,14 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       if Array.length mask = 0 then
                         for i = 0 to n - 1 do
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1;
                           fsum.(g) <- fsum.(g) +. float_of_int a.(i)
                         done
                       else
                         for i = 0 to n - 1 do
                           if not mask.(i) then begin
-                            let g = gids.(i) in
+                            let g = gid gids i in
                             nncnt.(g) <- nncnt.(g) + 1;
                             fsum.(g) <- fsum.(g) +. float_of_int a.(i)
                           end
@@ -1535,7 +1755,7 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                       for i = 0 to n - 1 do
                         let p = m.(i) in
                         if Array.length mask = 0 || not mask.(p) then begin
-                          let g = gids.(i) in
+                          let g = gid gids i in
                           nncnt.(g) <- nncnt.(g) + 1;
                           fsum.(g) <- fsum.(g) +. float_of_int a.(p)
                         end
@@ -1562,16 +1782,16 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       if Array.length mask = 0 then
                         for i = 0 to n - 1 do
-                          hit gids.(i) a.(i)
+                          hit (gid gids i) a.(i)
                         done
                       else
                         for i = 0 to n - 1 do
-                          if not mask.(i) then hit gids.(i) a.(i)
+                          if not mask.(i) then hit (gid gids i) a.(i)
                         done
                   | Some m ->
                       for i = 0 to n - 1 do
                         let p = m.(i) in
-                        if Array.length mask = 0 || not mask.(p) then hit gids.(i) a.(p)
+                        if Array.length mask = 0 || not mask.(p) then hit (gid gids i) a.(p)
                       done
                 in
                 Some
@@ -1597,16 +1817,16 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   | None ->
                       if Array.length mask = 0 then
                         for i = 0 to n - 1 do
-                          hit gids.(i) a.(i)
+                          hit (gid gids i) a.(i)
                         done
                       else
                         for i = 0 to n - 1 do
-                          if not mask.(i) then hit gids.(i) a.(i)
+                          if not mask.(i) then hit (gid gids i) a.(i)
                         done
                   | Some m ->
                       for i = 0 to n - 1 do
                         let p = m.(i) in
-                        if Array.length mask = 0 || not mask.(p) then hit gids.(i) a.(p)
+                        if Array.length mask = 0 || not mask.(p) then hit (gid gids i) a.(p)
                       done
                 in
                 Some
@@ -1634,11 +1854,11 @@ let eager_of ctx (slab : slab) ~ngroups ~(gcount : int array) ~(gids : int array
                   match m with
                   | None ->
                       for i = 0 to n - 1 do
-                        hit gids.(i) i
+                        hit (gid gids i) i
                       done
                   | Some m ->
                       for i = 0 to n - 1 do
-                        hit gids.(i) m.(i)
+                        hit (gid gids i) m.(i)
                       done
                 in
                 Some
@@ -1696,9 +1916,9 @@ let run_grouped ctx (slab : slab) (task : task)
        row lists, decide eagerness, and only re-collect row lists when some
        slot needs them. Grouping is deterministic, so the second pass (over
        the same data) yields identical ids. An aggregate query without
-       GROUP BY is one big group and needs no grouping pass at all. *)
-    if single_group then
-      (Array.make n 0, [| (if n > 0 then 0 else -1) |], Vec.create ())
+       GROUP BY is one big group and needs no grouping pass, nor a group id
+       per row: [gids] is then the empty sentinel of {!gid}. *)
+    if single_group then ([||], [| (if n > 0 then 0 else -1) |], Vec.create ())
     else group_ids ctx slab kcis ~want_rows:false
   in
   let ngroups = Array.length first in

@@ -5,9 +5,17 @@ module Ast = Flex_sql.Ast
     plans ({!Plan}): scan chains with pushed-down filters and left-deep
     INNER equijoins built on either side ({!Plan.rel.Join.build_left}),
     conjunctive predicates, column projections and group keys, standard
-    aggregates. The executor offers it every select body it may run —
-    {!enabled} on, no bound CTEs, no correlated scope, no EXPLAIN ANALYZE
-    trace — and is the one place that checks the switch.
+    aggregates. A filter whose conjuncts are all typed runs as kernels:
+    column-vs-literal int and float comparisons become inclusive ranges of
+    {!Value.compare}'s order (NaN sorts below every float), and the string
+    comparisons on one column one kernel over its dictionary codes: [=]
+    and [<>] by one dictionary lookup per literal, ranges through a pass
+    table over the dictionary (built when it is no larger than the rows
+    filtered). Each morsel refines its selection in place and
+    allocates only its survivors; an aggregate without GROUP BY allocates
+    no per-row group ids. The executor offers it every select body it may
+    run — {!enabled} on, no bound CTEs, no correlated scope, no EXPLAIN
+    ANALYZE trace — and is the one place that checks the switch.
 
     Every entry point returns [None] — and the caller runs the row pipeline
     unchanged — when the plan falls outside the subset or raises any

@@ -13,9 +13,8 @@ let with_lock t f =
 let root name =
   { name; start_ns = Clock.now_ns (); end_ns = 0.0; rev_children = []; lock = Mutex.create () }
 
-let enter parent name =
-  let child =
-    { name; start_ns = Clock.now_ns (); end_ns = 0.0; rev_children = []; lock = parent.lock }
+let enter ?(start_ns = Clock.now_ns ()) parent name =
+  let child = { name; start_ns; end_ns = 0.0; rev_children = []; lock = parent.lock }
   in
   with_lock parent (fun () -> parent.rev_children <- child :: parent.rev_children);
   child

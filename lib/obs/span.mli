@@ -15,8 +15,10 @@ type t
 val root : string -> t
 (** Start a new trace with an open root span. *)
 
-val enter : t -> string -> t
-(** Start a child span under [parent]. *)
+val enter : ?start_ns:float -> t -> string -> t
+(** Start a child span under [parent], now or at [start_ns] (an earlier
+    {!Clock.now_ns} reading, for a stage whose name is known only once it
+    has run). *)
 
 val finish : t -> unit
 (** Close the span (records its end time). Idempotent: the first call

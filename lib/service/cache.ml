@@ -28,29 +28,32 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let find t ~key =
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some v ->
+        t.hits <- t.hits + 1;
+        Some v
+      | None ->
+        t.misses <- t.misses + 1;
+        None)
+
+let add t ~key v =
+  with_lock t (fun () ->
+      if not (Hashtbl.mem t.table key) then begin
+        while Queue.length t.order >= t.capacity do
+          Hashtbl.remove t.table (Queue.pop t.order)
+        done;
+        Hashtbl.replace t.table key v;
+        Queue.push key t.order
+      end)
+
 let find_or_compute t ~key f =
-  let cached =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some v ->
-          t.hits <- t.hits + 1;
-          Some v
-        | None ->
-          t.misses <- t.misses + 1;
-          None)
-  in
-  match cached with
+  match find t ~key with
   | Some v -> (v, true)
   | None ->
     let v = f () in
-    with_lock t (fun () ->
-        if not (Hashtbl.mem t.table key) then begin
-          while Queue.length t.order >= t.capacity do
-            Hashtbl.remove t.table (Queue.pop t.order)
-          done;
-          Hashtbl.replace t.table key v;
-          Queue.push key t.order
-        end);
+    add t ~key v;
     (v, false)
 
 let hits t = with_lock t (fun () -> t.hits)

@@ -16,6 +16,13 @@ val create : ?capacity:int -> unit -> 'a t
 
 val key : sql_canonical:string -> fingerprint:string -> flags:string -> string
 
+val find : 'a t -> key:string -> 'a option
+(** Look [key] up, counting a hit or a miss. *)
+
+val add : 'a t -> key:string -> 'a -> unit
+(** Store [v] under [key] unless the key is already present (a racing
+    computation stored it first). *)
+
 val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a * bool
 (** Returns [(value, was_hit)]. The compute function runs outside the lock
     (two racing misses may both compute; one result wins — acceptable for a

@@ -114,6 +114,13 @@ type instruments = {
       (* span path in the query trace -> stage histogram *)
 }
 
+(* A query text's canonical form. A factored text keeps its factoring, whose
+   core is all that runs on a miss and whose [core_sql] is the canonical
+   key; only a text that does not factor keeps its parse tree. *)
+type canonical =
+  | Factored of Flex_sql.Factor.t
+  | Whole of { canon : string; ast : Flex_sql.Ast.query }
+
 type t = {
   config : config;
   (* the data epoch: [db], [metrics] and [fingerprint] are replaced together
@@ -124,12 +131,11 @@ type t = {
   mutable fingerprint : string;
   ledger : Ledger.t;
   analysis_cache : (Elastic.analysis, Errors.reason) result Cache.t;
-  (* raw SQL text -> (canonical cache key, factoring). Both are pure
-     functions of the text, so entries never go stale; memoizing the
-     factoring too keeps the derived fast path (parse + memo + store probe +
-     suffix evaluation) in single-digit microseconds — a dashboard refresh
-     pays the core/suffix split once per distinct query text. *)
-  canon_memo : (string * Flex_sql.Factor.t option) Cache.t;
+  (* raw SQL text -> its canonical form, looked up before parsing. It is a
+     pure function of the text, so entries never go stale, and a repeated
+     text skips both the parse and the core/suffix split: the derived fast
+     path is memo + store probe + suffix evaluation. *)
+  canon_memo : canonical Cache.t;
   release_store : Release_store.t option;  (* Some iff [config.release_cache] *)
   limiter : Rate_limit.t option;  (* Some iff [config.rate_limit_qps] *)
   audit : Audit.t;
@@ -538,12 +544,13 @@ let handle_hello t session ~analyst ~epsilon ~delta =
 
 (* {2 The query pipeline}
 
-   [handle_query] runs a [Query] request through stages: admit, parse,
-   canonicalize, replay, analyse, pre-check, execute, charge, perturb and
-   journal. Each stage either hands its result to the next or ends the
-   request with an [outcome], and [conclude] alone turns that outcome into
-   bookkeeping: [queries] plus exactly one outcome counter, the closed span
-   tree, one audit event, one flight record and the wire reply. *)
+   [handle_query] runs a [Query] request through stages: admit, canon memo
+   (a text seen before skips the next two), parse, canonicalize, replay,
+   analyse, pre-check, execute, charge, perturb and journal. Each stage
+   either hands its result to the next or ends the request with an
+   [outcome], and [conclude] alone turns that outcome into bookkeeping:
+   [queries] plus exactly one outcome counter, the closed span tree, one
+   audit event, one flight record and the wire reply. *)
 
 type outcome =
   | Answered of {
@@ -745,23 +752,32 @@ let admit t ~analyst ~epsilon ~delta =
     validate_privacy t ~epsilon ~delta
     |> Result.map_error (fun reason -> Rejected { bucket = "admission"; reason })
 
-(* Factor into a releasable core + post-processing suffix. The store is
-   keyed on the core, so every HAVING/ORDER BY/LIMIT/projection variant of
-   one dashboard collides onto a single paid release; without a store there
-   is nothing to share the core through and the original whole-query path
-   applies unchanged. *)
+(* A text seen before: its memoised canonical form, with no parse. The
+   lookup is the request's canon stage. *)
+let memoised t root ~sql =
+  let start_ns = Clock.now_ns () in
+  let hit = Cache.find t.canon_memo ~key:sql in
+  if Option.is_some hit then
+    Option.iter (fun r -> Span.finish (Span.enter ~start_ns r "canon")) root;
+  hit
+
+(* Factor into a releasable core + post-processing suffix, and memoise it on
+   the text. The store is keyed on the core, so every HAVING/ORDER BY/LIMIT/
+   projection variant of one dashboard collides onto a single paid release;
+   without a store there is nothing to share the core through and the
+   original whole-query path applies unchanged. *)
 let canonicalize t req ~sql ast =
   Span.timed req.root "canon" (fun _ ->
-      fst
-        (Cache.find_or_compute t.canon_memo ~key:sql (fun () ->
-             let fact =
-               match t.release_store with
-               | None -> None
-               | Some _ -> Flex_sql.Factor.factor ast
-             in
-             match fact with
-             | Some f -> (f.core_sql, fact)
-             | None -> (Canon.cache_key ast, None))))
+      let fact =
+        match t.release_store with None -> None | Some _ -> Flex_sql.Factor.factor ast
+      in
+      let c =
+        match fact with
+        | Some f -> Factored f
+        | None -> Whole { canon = Canon.cache_key ast; ast }
+      in
+      Cache.add t.canon_memo ~key:sql c;
+      c)
 
 (* The analyst-visible answer for a stored (or just-minted) release:
    factored queries evaluate their suffix over the stored noisy rows
@@ -799,13 +815,20 @@ let replay t req ~analyst fact release_key =
            answer how fact entry
              ~remaining:(Option.value ~default:(0.0, 0.0) (Ledger.remaining t.ledger ~analyst)))
 
-(* A parsed query from canonicalization to its outcome; each [let*] is a
-   stage that either hands on its result or ends the request. *)
-let run_query t session req ~analyst ~sql ~epsilon ~delta ast =
+(* A canonical query to its outcome; each [let*] is a stage that either
+   hands on its result or ends the request. *)
+let run_query t session req ~analyst ~epsilon ~delta canonical =
   let ( let* ) r f = match r with Ok x -> f x | Error outcome -> outcome in
   let options = options_for t ~epsilon ~delta in
   let db, metrics, fingerprint = epoch t in
-  let canon, fact = canonicalize t req ~sql ast in
+  (* What analyzes/executes on a miss: the canonical core for factorable
+     queries (paying once for all its base aggregates), the original AST
+     otherwise. *)
+  let canon, fact, exec_ast =
+    match canonical with
+    | Factored f -> (f.core_sql, Some f, f.core)
+    | Whole { canon; ast } -> (canon, None, ast)
+  in
   req.key <- Some canon;
   let release_key =
     Release_store.key ~sql_canonical:canon ~fingerprint ~flags:(release_flags options)
@@ -814,10 +837,6 @@ let run_query t session req ~analyst ~sql ~epsilon ~delta ast =
   match replay t req ~analyst fact release_key with
   | Some answered -> answered
   | None ->
-    (* What analyzes/executes on a miss: the canonical core for factorable
-       queries (paying once for all its base aggregates), the original AST
-       otherwise. *)
-    let exec_ast = match fact with Some f -> f.core | None -> ast in
     let analyzed, cache_hit =
       analyze_cached t ?span:req.root ~canon ~fingerprint ~metrics ~options exec_ast
     in
@@ -884,8 +903,10 @@ let run_query t session req ~analyst ~sql ~epsilon ~delta ast =
 
 (* An exception anywhere past admission fails the request through
    [conclude], audited with whatever it had been charged; [handle]'s
-   catch-all only guards [conclude] itself. An EXPLAIN typed where a query
-   was expected is not a query: it gets the explain op's answer, uncounted. *)
+   catch-all only guards [conclude] itself. A text in the canon memo is not
+   parsed again. An EXPLAIN typed where a query was expected is not a query:
+   it gets the explain op's answer, uncounted; it and a parse error are
+   never memoised, so each of their sends parses. *)
 let handle_query t session ~sql ~epsilon ~delta ~id =
   match session.analyst with
   | None -> Wire.Error_msg "no analyst: send hello first"
@@ -897,16 +918,21 @@ let handle_query t session ~sql ~epsilon ~delta ~id =
     | Ok () -> (
       let root = if t.config.telemetry then Some (Span.root "query") else None in
       let req = request ?id ?root ~analyst ~sql () in
-      match Span.timed root "parse" (fun _ -> Parser.parse_statement sql) with
-      | exception exn -> conclude t req (failed exn)
-      | Ok ((Flex_sql.Ast.Explain _ | Flex_sql.Ast.Explain_analyze _) as stmt) ->
-        Option.iter Span.finish root;
-        explain_statement t session ~sql stmt
-      | Error e -> conclude t req (rejected (Errors.Parse_error e))
-      | Ok (Flex_sql.Ast.Query ast) ->
+      let run canonical =
         conclude t req
-          (try run_query t session req ~analyst ~sql ~epsilon ~delta ast
-           with exn -> failed exn)))
+          (try run_query t session req ~analyst ~epsilon ~delta (canonical ())
+           with exn -> failed exn)
+      in
+      match memoised t root ~sql with
+      | Some c -> run (fun () -> c)
+      | None -> (
+        match Span.timed root "parse" (fun _ -> Parser.parse_statement sql) with
+        | exception exn -> conclude t req (failed exn)
+        | Ok ((Flex_sql.Ast.Explain _ | Flex_sql.Ast.Explain_analyze _) as stmt) ->
+          Option.iter Span.finish root;
+          explain_statement t session ~sql stmt
+        | Error e -> conclude t req (rejected (Errors.Parse_error e))
+        | Ok (Flex_sql.Ast.Query ast) -> run (fun () -> canonicalize t req ~sql ast))))
 
 let handle_analyze t ~sql =
   let options =

@@ -694,9 +694,9 @@ let check_columnar_3way db sql =
   let col = with_columnar true (fun () -> Executor.run_sql db sql) in
   check_row_columnar_agree sql row col
 
-(* Trap fixture for the typed kernels: NULL-heavy key and measure columns, a
-   mixed Int/Float column (boxed in the chunk), a dictionary column with
-   NULLs, negative and repeated join keys. *)
+(* Trap fixture for the typed kernels: NULL-heavy key and measure columns
+   (the measures include NaN and both infinities), a mixed Int/Float column (boxed in the chunk), a
+   dictionary column with NULLs, negative and repeated join keys. *)
 let null_mixed_fixture () =
   let n = 40 in
   let facts =
@@ -706,7 +706,11 @@ let null_mixed_fixture () =
              v_int i;
              (if i mod 3 = 0 then Value.Null else v_int (i mod 5));
              (if i mod 7 = 0 then Value.Null else v_int ((i mod 4) - 2));
-             (if i mod 4 = 0 then Value.Null else v_float (float_of_int i /. 4.0));
+             (if i mod 4 = 0 then Value.Null
+              else if i = 13 then v_float Float.nan
+              else if i = 21 then v_float infinity
+              else if i = 22 then v_float neg_infinity
+              else v_float (float_of_int i /. 4.0));
              (if i mod 2 = 0 then v_int i else v_float (float_of_int i +. 0.5));
              (match i mod 5 with
              | 0 -> Value.Null
@@ -752,6 +756,42 @@ let null_mixed_queries =
     "SELECT id, m FROM facts ORDER BY m DESC, id LIMIT 7";
     "SELECT id FROM facts ORDER BY k, id LIMIT 10 OFFSET 3";
     "SELECT tag, m FROM facts ORDER BY tag, m LIMIT 12";
+    (* string ranges over the NULL-bearing dictionary column: literals below,
+       inside and above the dictionary, and one absent from it *)
+    "SELECT id FROM facts WHERE tag >= 'blue' AND tag < 'red'";
+    "SELECT id FROM facts WHERE tag >= 'a' AND tag <= 'green'";
+    "SELECT id FROM facts WHERE tag > 'zzz'";
+    "SELECT id FROM facts WHERE tag = 'purple'";
+    "SELECT id, tag FROM facts WHERE tag <> 'red'";
+    (* several tests on one string column *)
+    "SELECT id FROM facts WHERE tag = 'green' AND tag < 'red'";
+    "SELECT id FROM facts WHERE tag = 'red' AND tag < 'green'";
+    "SELECT id FROM facts WHERE tag = 'red' AND tag <> 'red'";
+    "SELECT id FROM facts WHERE tag = 'red' AND tag = 'blue'";
+    "SELECT id FROM facts WHERE tag = 'red' AND tag = 'red'";
+    "SELECT id, tag FROM facts WHERE tag <> 'red' AND tag <> 'blue'";
+    "SELECT id, tag FROM facts WHERE tag <> 'purple' AND tag >= 'green'";
+    (* int bounds: max_int, and a window with a hole *)
+    "SELECT id FROM facts WHERE k > 4611686018427387903";
+    "SELECT id, k FROM facts WHERE k >= 1 AND k <= 3 AND k <> 2";
+    "SELECT id FROM facts WHERE k <> 2";
+    "SELECT id, k FROM facts WHERE k < 2";
+    (* closure kernels that every row passes *)
+    "SELECT id FROM facts WHERE id IS NOT NULL";
+    "SELECT id FROM facts WHERE id <> -1";
+    (* int-vs-float and NaN comparisons *)
+    "SELECT id FROM facts WHERE k > 1.5";
+    "SELECT id, m FROM facts WHERE m >= 3";
+    "SELECT id, m FROM facts WHERE m < 2";
+    "SELECT id, m FROM facts WHERE m > 0.75 AND m <= 2.5";
+    "SELECT id, m FROM facts WHERE m >= 0.75 AND m < 2.25";
+    "SELECT id FROM facts WHERE m <> 0.5";
+    "SELECT id, m FROM facts WHERE m > 1e999";
+    "SELECT id, m FROM facts WHERE m >= 1e999";
+    "SELECT id, m FROM facts WHERE m < -1e999";
+    (* string ranges on both sides of a join *)
+    "SELECT f.id, d.label FROM facts f JOIN dims d ON f.k = d.k \
+     WHERE f.tag >= 'green' AND d.label < 'two'";
   ]
 
 let columnar_differential_tests =
@@ -865,6 +905,21 @@ let build_left_chains =
      ON d.k = l.k WHERE f.id < 20 GROUP BY l.k";
   ]
 
+(* [sql]'s plan with [pred] filtering its source. *)
+let filter_source pred sql =
+  let p = Plan.of_query (Flex_sql.Parser.parse_exn sql) in
+  match p.Plan.body with
+  | Plan.Plan_select sp ->
+    let filter r = Plan.Filter { pred; input = r } in
+    { p with body = Plan.Plan_select { sp with source = Option.map filter sp.source } }
+  | Plan.Plan_set _ -> p
+
+(* [plan] agrees with the row engine and runs on the columnar engine. *)
+let check_columnar_plan db sql plan =
+  let before = Executor.columnar_fallbacks () in
+  check_plan_agrees db sql plan;
+  Alcotest.(check int) "ran columnar" before (Executor.columnar_fallbacks ())
+
 let columnar_plan_tests =
   [
     Alcotest.test_case "edge cases agree on optimizer plans" `Quick (fun () ->
@@ -903,6 +958,35 @@ let columnar_plan_tests =
             let q = Flex_sql.Parser.parse_exn sql in
             check_plan_agrees db sql (force_build_left q))
           (null_mixed_queries @ build_left_traps @ build_left_chains));
+    Alcotest.test_case "a group narrower than its column's dictionary" `Quick (fun () ->
+        (* a scan filter leaves 2 rows (tags NULL and 'red') for the WHERE
+           group, whose column has 3 dictionary entries *)
+        let db = null_mixed_fixture () in
+        let narrow =
+          Ast.Binop (Ast.Lt, Ast.Col { table = Some "f"; column = "id" }, Ast.Lit (Ast.Int 2))
+        in
+        List.iter
+          (fun where ->
+            let sql = "SELECT f.id, f.tag FROM facts f WHERE " ^ where in
+            check_columnar_plan db sql (filter_source narrow sql))
+          [ "f.tag < 'zzz'"; "f.tag <> 'red'"; "f.tag <> 'purple'"; "f.tag = 'red'" ]);
+    Alcotest.test_case "infinite float literals reach the range kernels" `Quick (fun () ->
+        (* SQL spells -inf only as a negation, which is no literal *)
+        let db = null_mixed_fixture () in
+        let sql = "SELECT id, m FROM facts" in
+        List.iter
+          (fun (op, f) ->
+            let pred = Ast.Binop (op, Ast.Col { table = None; column = "m" }, Ast.Lit (Ast.Float f)) in
+            check_columnar_plan db sql (filter_source pred sql))
+          [
+            (Ast.Lt, neg_infinity);
+            (Ast.Le, neg_infinity);
+            (Ast.Eq, neg_infinity);
+            (Ast.Gt, neg_infinity);
+            (Ast.Gt, infinity);
+            (Ast.Ge, infinity);
+            (Ast.Lt, infinity);
+          ]);
     Alcotest.test_case "three-table chains flipped at either step" `Quick (fun () ->
         let db = build_left_fixture () in
         List.iter

@@ -259,7 +259,8 @@ let differential_tests =
                   (fun sql ->
                     Test_engine.check_plan_agrees ~pool db sql
                       (Test_engine.force_build_left (Flex_sql.Parser.parse_exn sql)))
-                  (Test_engine.build_left_traps @ Test_engine.build_left_chains))));
+                  (Test_engine.null_mixed_queries @ Test_engine.build_left_traps
+                 @ Test_engine.build_left_chains))));
   ]
 
 (* --- bounded top-K ORDER BY ... LIMIT ------------------------------------ *)

@@ -659,6 +659,61 @@ let server_tests =
           (Option.bind (Json.mem "bucket" rejected) Json.to_str);
         Alcotest.(check (option string)) "no result values in the log" None
           (Option.bind (Json.mem "rows" granted) Json.to_str));
+    Alcotest.test_case "a text seen before is answered without a parse" `Quick (fun () ->
+        let buf = Buffer.create 256 in
+        let db, metrics = Lazy.force fixture in
+        let server =
+          Server.create ~audit:(Audit.to_buffer buf) ~db ~metrics
+            ~ledger:(Ledger.in_memory ()) ~rng:(Rng.create ~seed:3 ()) ()
+        in
+        let session = Server.session server in
+        hello server session "erin";
+        ignore (query server session "SELECT t.status, COUNT(*) FROM trips t GROUP BY t.status");
+        (* an alias-renamed text: parsed, then replayed; sent again, replayed
+           from the memo *)
+        let renamed = "SELECT x.status, COUNT(*) FROM trips x GROUP BY x.status" in
+        let parsed = Wire.response_to_line (query server session renamed) in
+        let memoised = Wire.response_to_line (query server session renamed) in
+        Alcotest.(check string) "same bytes" parsed memoised;
+        let parse_ns =
+          String.split_on_char '\n' (Buffer.contents buf)
+          |> List.filter (fun l -> l <> "")
+          |> List.map (fun l ->
+                 Option.get (Option.bind (Json.mem "parse_ns" (Json.of_string_exn l)) Json.to_num))
+        in
+        match parse_ns with
+        | [ first; second; third ] ->
+          Alcotest.(check bool) "new texts parse" true (first > 0.0 && second > 0.0);
+          Alcotest.(check (float 0.0)) "a repeat does not" 0.0 third
+        | l -> Alcotest.failf "%d audit events" (List.length l));
+    Alcotest.test_case "EXPLAIN and rejected texts answer the same when sent again" `Quick
+      (fun () ->
+        let server, _ = make_server () in
+        let session = Server.session server in
+        hello server session "fay";
+        (* EXPLAIN and a parse error are never memoised; a raw-data query is,
+           and its analysis rejects it again *)
+        let texts =
+          [
+            "EXPLAIN SELECT COUNT(*) FROM trips";
+            "SELECT COUNT(* FROM trips";
+            "SELECT id FROM trips";
+          ]
+        in
+        let first = List.map (query server session) texts in
+        let again = List.map (query server session) texts in
+        List.iter2
+          (fun a b ->
+            Alcotest.(check string) "same answer" (Wire.response_to_line a)
+              (Wire.response_to_line b))
+          first again;
+        (match again with
+        | [ Wire.Plan_report _; Wire.Rejected p; Wire.Rejected u ] ->
+          Alcotest.(check string) "parse bucket" "parse" p.bucket;
+          Alcotest.(check string) "unsupported bucket" "unsupported" u.bucket
+        | l ->
+          Alcotest.failf "got %s"
+            (String.concat "; " (List.map Wire.response_to_line l))));
     Alcotest.test_case "budget reports stay consistent under concurrent spenders" `Quick
       (fun () ->
         let server, ledger = make_server () in
