@@ -58,7 +58,7 @@ let with_lock t f =
 
 (* --- journal lines -------------------------------------------------------- *)
 
-let float_str f = Printf.sprintf "%.17g" f
+let float_str = Float_text.to_string
 
 (* labels travel on one tab-separated line; whitespace flattens to spaces *)
 let clean_label label =
@@ -66,10 +66,10 @@ let clean_label label =
 
 let line_of_entry = function
   | Register { analyst; epsilon; delta } ->
-    Printf.sprintf "analyst\t%s\t%s\t%s" analyst (float_str epsilon) (float_str delta)
+    String.concat "\t" [ "analyst"; analyst; float_str epsilon; float_str delta ]
   | Spend { analyst; epsilon; delta; label } ->
-    Printf.sprintf "spend\t%s\t%s\t%s\t%s" analyst (float_str epsilon) (float_str delta)
-      (clean_label label)
+    String.concat "\t"
+      [ "spend"; analyst; float_str epsilon; float_str delta; clean_label label ]
 
 let entry_of_line line =
   match String.split_on_char '\t' line with

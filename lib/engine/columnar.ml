@@ -2054,17 +2054,12 @@ let run_body ?pool db (task : task) : result_set =
 
 (* Full ungrouped queries including ORDER BY + LIMIT/OFFSET: sort keys come
    straight from the slab's typed columns ({!Key_sort}), only the surviving
-   window is materialised. *)
+   window is materialised. The caller has declined grouped bodies. *)
 let run_query ?pool db (task : task) ~(order_by : (Ast.expr * Ast.order_dir) list)
     ~(limit : int option) ~(offset : int option) : result_set =
   ignore db;
   let ctx = ctx_of_steps pool task.steps in
-  (match task.having with Some _ -> fallback () | None -> ());
   let projections = Compiled.expand_projections ctx.headers task.projections in
-  if
-    List.exists (fun (e, _) -> has_aggregate e) projections
-    || task.group_by <> []
-  then fallback ();
   List.iter (fun (e, _) -> plain_expr e) projections;
   let out_headers =
     Array.of_list
@@ -2189,11 +2184,21 @@ let guard (f : unit -> result_set) : result_set option =
   try Some (f ())
   with Fallback | Compiled.Error _ | Eval.Error _ | Aggregate.Error _ -> None
 
+(* A body with GROUP BY, HAVING or an aggregate. A star never expands to an
+   aggregate, so the projections are checked as written. *)
+let grouped (sp : Plan.select_plan) =
+  sp.Plan.group_by <> [] || Option.is_some sp.Plan.having
+  || List.exists
+       (function Ast.Proj_expr (e, _) -> has_aggregate e | _ -> false)
+       sp.Plan.projections
+
+(* A grouped body is declined before any work: the executor runs it through
+   [plan_select] and sorts and slices the groups itself. *)
 let plan_query ?pool db (p : Plan.t) : result_set option =
   guard (fun () ->
       if p.Plan.ctes <> [] then fallback ();
       match p.Plan.body with
-      | Plan.Plan_select sp ->
+      | Plan.Plan_select sp when not (grouped sp) ->
           run_query ?pool db (task_of_select_plan db sp) ~order_by:p.Plan.order_by
             ~limit:p.Plan.limit ~offset:p.Plan.offset
       | _ -> fallback ())

@@ -36,8 +36,10 @@ val enabled : bool ref
     it never changes a DP release. *)
 
 val plan_query : ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set option
-(** A whole CTE-free plan whose body is one select, including ORDER BY,
-    LIMIT and OFFSET. A build-left join emits its matches in the row
+(** A whole CTE-free plan whose body is one ungrouped select, including
+    ORDER BY, LIMIT and OFFSET. A body with GROUP BY, HAVING or an
+    aggregate is declined before any work; the executor runs it through
+    {!plan_select}. A build-left join emits its matches in the row
     engine's build-left order: the joined table's rows ascending and,
     within each, the prefix rows in logical order. *)
 

@@ -38,6 +38,8 @@ let find t ~key =
         t.misses <- t.misses + 1;
         None)
 
+let peek t ~key = with_lock t (fun () -> Hashtbl.find_opt t.table key)
+
 let add t ~key v =
   with_lock t (fun () ->
       if not (Hashtbl.mem t.table key) then begin

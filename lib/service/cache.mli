@@ -19,6 +19,10 @@ val key : sql_canonical:string -> fingerprint:string -> flags:string -> string
 val find : 'a t -> key:string -> 'a option
 (** Look [key] up, counting a hit or a miss. *)
 
+val peek : 'a t -> key:string -> 'a option
+(** Look [key] up without counting a hit or a miss: a probe that must leave
+    no trace ({!Server.store_hit}). *)
+
 val add : 'a t -> key:string -> 'a -> unit
 (** Store [v] under [key] unless the key is already present (a racing
     computation stored it first). *)

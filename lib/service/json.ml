@@ -1,7 +1,7 @@
 (* Hand-rolled JSON, sufficient for the wire protocol: encoder emits one
    line; recursive-descent parser accepts standard JSON (with \uXXXX escapes
-   decoded to UTF-8). Numbers are doubles; %.17g printing round-trips every
-   finite double exactly. *)
+   decoded to UTF-8) nested at most [max_depth] containers deep. Numbers are
+   doubles; %.17g text round-trips every finite double exactly. *)
 
 type t =
   | Null
@@ -30,9 +30,9 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
-let number_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+(* %.17g text, which prints an integral value below 1e17 with neither a
+   fraction nor an exponent *)
+let number_string = Flex_dp.Float_text.to_string
 
 let rec encode b = function
   | Null -> Buffer.add_string b "null"
@@ -69,6 +69,12 @@ let to_string v =
 (* --- decoding -------------------------------------------------------------- *)
 
 exception Parse of string
+
+(* Deep enough for every document the service writes (flight span trees,
+   registry snapshots, journal lines), shallow enough that the recursion
+   stays a few frames: a line of brackets is refused at its 257th bracket,
+   so a decode costs time linear in the line's length. *)
+let max_depth = 256
 
 type parser_state = { src : string; mutable pos : int }
 
@@ -189,7 +195,8 @@ let parse_number p =
   | Some f -> Num f
   | None -> error p "bad number %S" s
 
-let rec parse_value p =
+(* [depth] counts the containers around the value being parsed *)
+let rec parse_value p depth =
   skip_ws p;
   match peek p with
   | None -> error p "unexpected end of input"
@@ -197,6 +204,8 @@ let rec parse_value p =
   | Some 't' -> literal p "true" (Bool true)
   | Some 'f' -> literal p "false" (Bool false)
   | Some '"' -> Str (parse_string p)
+  | Some ('[' | '{') when depth >= max_depth ->
+    error p "nesting deeper than %d levels" max_depth
   | Some '[' ->
     p.pos <- p.pos + 1;
     skip_ws p;
@@ -206,7 +215,7 @@ let rec parse_value p =
     end
     else begin
       let rec items acc =
-        let v = parse_value p in
+        let v = parse_value p (depth + 1) in
         skip_ws p;
         match peek p with
         | Some ',' ->
@@ -232,7 +241,7 @@ let rec parse_value p =
         let k = parse_string p in
         skip_ws p;
         expect p ':';
-        let v = parse_value p in
+        let v = parse_value p (depth + 1) in
         (k, v)
       in
       let rec fields acc =
@@ -253,7 +262,7 @@ let rec parse_value p =
 
 let of_string s =
   let p = { src = s; pos = 0 } in
-  match parse_value p with
+  match parse_value p 0 with
   | v ->
     skip_ws p;
     if p.pos <> String.length s then Error (Printf.sprintf "trailing input at offset %d" p.pos)

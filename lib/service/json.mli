@@ -17,10 +17,17 @@ val to_string : t -> string
     (JSON has no representation for them). *)
 
 val number_string : float -> string
-(** How [Num] prints: integral values without a fractional part, everything
-    else as [%.17g] (round-trips doubles exactly). *)
+(** How [Num] prints: byte-for-byte [Printf.sprintf "%.17g"], which renders
+    integral values without a fractional part and round-trips doubles
+    exactly ({!Flex_dp.Float_text.to_string}). *)
+
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts (256). *)
 
 val of_string : string -> (t, string) result
+(** Decode one document. A container opened more than {!max_depth} levels
+    deep is an [Error] naming the limit, so hostile nesting costs time
+    linear in the input and never exhausts the stack. *)
 
 val of_string_exn : string -> t
 (** @raise Failure with a position-carrying message. *)

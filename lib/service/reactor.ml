@@ -24,7 +24,8 @@ let default_config =
 
 (* All connection state is owned by the reactor thread. Workers never touch
    a [conn]: they hand finished responses back through [t.completions] and
-   the wake pipe, and the reactor applies them. *)
+   the wake pipe, and the reactor applies them. The reactor answers store
+   hits itself and queues those replies directly. *)
 type conn = {
   fd : Unix.file_descr;
   session : Server.session;
@@ -45,6 +46,8 @@ type completion = { cc : conn; line : string; close : bool }
 type stats = {
   connections_open : int;
   accepted_total : int;
+  answered_total : int;
+  dispatched_total : int;
   shed_total : int;
   conn_refused_total : int;
   idle_closed_total : int;
@@ -71,6 +74,7 @@ type t = {
      them without a lock (plain int loads) *)
   mutable open_count : int;
   mutable accepted_total : int;
+  mutable answered_total : int;  (* store hits served on the reactor thread *)
   mutable shed_total : int;
   mutable conn_refused_total : int;
   mutable idle_closed_total : int;
@@ -111,9 +115,15 @@ let register_collectors t =
       ~kind:`Gauge "flex_connections_open" (fun () ->
         [ ([], float_of_int t.open_count) ]);
     Registry.collect reg
-      ~help:"Requests admitted to the worker pool and not yet completed"
+      ~help:
+        "Requests admitted to the worker pool and not yet completed (workers only: \
+         the store hits the reactor answers itself are never in flight)"
       ~kind:`Gauge "flex_requests_inflight" (fun () ->
         [ ([], float_of_int (Workers.inflight t.pool)) ]);
+    Registry.collect reg
+      ~help:"Store hits (zero-budget replays and derivations) answered on the reactor thread"
+      ~kind:`Counter "flex_reactor_answered_total" (fun () ->
+        [ ([], float_of_int t.answered_total) ]);
     Registry.collect reg
       ~help:"Requests and connections shed by admission control" ~kind:`Counter
       "flex_overload_rejections_total" (fun () ->
@@ -160,6 +170,7 @@ let listen ?(backlog = 64) ?(port = 0) ?(config = default_config) server =
       conns = Hashtbl.create 64;
       open_count = 0;
       accepted_total = 0;
+      answered_total = 0;
       shed_total = 0;
       conn_refused_total = 0;
       idle_closed_total = 0;
@@ -174,6 +185,8 @@ let stats t =
   {
     connections_open = t.open_count;
     accepted_total = t.accepted_total;
+    answered_total = t.answered_total;
+    dispatched_total = (Workers.stats t.pool).submitted;
     shed_total = t.shed_total;
     conn_refused_total = t.conn_refused_total;
     idle_closed_total = t.idle_closed_total;
@@ -195,24 +208,32 @@ let close_conn t c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
-(* Execute one request on a worker thread. [Server.handle] never raises;
-   everything here only moves bytes and posts the completion. *)
-let job t c line () =
-  let resp, id, close =
-    match Wire.request_of_line line with
-    | Error msg -> (Wire.Error_msg msg, None, false)
-    | Ok req -> (Server.handle t.server c.session req, Wire.request_id req, req = Wire.Quit)
-  in
-  let encoded = Wire.response_to_line ?id resp ^ "\n" in
+(* [Server.handle] never raises, so neither does serving a request. *)
+let serve t c req =
+  Wire.response_to_line ?id:(Wire.request_id req) (Server.handle t.server c.session req)
+  ^ "\n"
+
+(* Execute one request on a worker thread: everything here besides
+   [Server.handle] only moves bytes and posts the completion. *)
+let job t c req () =
+  let line = serve t c req in
   Mutex.protect t.lock (fun () ->
-      Queue.push { cc = c; line = encoded; close } t.completions);
+      Queue.push { cc = c; line; close = req = Wire.Quit } t.completions);
   wake t
 
-(* Admit the connection's next framed request, or shed it. Serial per
-   connection: at most one request of a session is ever in flight, so
-   pipelined requests are answered in order and session state (hello, the
-   per-session RNG) never races with itself. *)
-let pump t c =
+(* Serve the connection's framed requests in order until one goes to a
+   worker or the connection must wait. Each line is decoded here, once; a
+   line that does not decode is answered with its error at once. A store
+   hit ({!Server.store_hit}) is answered on this thread: it costs
+   microseconds and no I/O but an audit line, and the handoff to a worker
+   and back would cost more than the answer, for no parallelism (workers
+   share the runtime lock). Every other request — a miss that may charge
+   and journal, or any other op — goes to a worker, or is shed when the
+   queue is full. Serial per connection: while a request is on a worker
+   none of its successors is served, so pipelined requests are answered in
+   order and session state (hello, the per-session RNG) never races with
+   itself. *)
+let rec pump t c =
   if
     (not c.busy) && (not c.closing) && (not c.dead)
     && c.out_bytes <= t.config.max_output_bytes
@@ -220,16 +241,23 @@ let pump t c =
     match Queue.take_opt c.inbox with
     | None -> ()
     | Some line ->
-      if Workers.try_submit t.pool (job t c line) then c.busy <- true
-      else begin
-        (* the bounded queue is full: typed load shedding, charged nothing,
-           parsed never *)
-        t.shed_total <- t.shed_total + 1;
-        Server.log_overload t.server
-          ~analyst:(Server.session_analyst c.session)
-          ~line;
-        enqueue_out c overload_line
-      end
+      (match Wire.request_of_line line with
+      | Error msg -> enqueue_out c (error_line msg)
+      | Ok req when Server.store_hit t.server c.session req ->
+        t.answered_total <- t.answered_total + 1;
+        enqueue_out c (serve t c req)
+      | Ok req ->
+        if Workers.try_submit t.pool (job t c req) then c.busy <- true
+        else begin
+          (* the bounded queue is full: typed load shedding, charged
+             nothing, SQL-parsed never *)
+          t.shed_total <- t.shed_total + 1;
+          Server.log_overload t.server
+            ~analyst:(Server.session_analyst c.session)
+            ~line;
+          enqueue_out c overload_line
+        end);
+      pump t c
 
 let accept_loop t =
   let continue = ref true in

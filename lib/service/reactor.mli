@@ -8,20 +8,29 @@
 
     - {b one reactor thread} multiplexes every connection with
       [Unix.select]: it accepts, reads, frames line-delimited requests
-      incrementally (no [in_channel], no blocking reads), and writes
-      queued responses when sockets are ready — a slow reader never
-      blocks anything but its own connection;
-    - {b a bounded worker pool} ({!Workers}) runs {!Server.handle}.
+      incrementally (no [in_channel], no blocking reads), decodes each
+      request once, and writes queued responses when sockets are ready —
+      a slow reader never blocks anything but its own connection;
+    - {b store hits on the reactor}: a zero-budget replay or derivation
+      ({!Server.store_hit}, a probe that counts nothing) is answered by
+      {!Server.handle} on the reactor thread itself. It does no blocking
+      I/O but its audit line, and the workers share the reactor's
+      runtime lock, so the handoff would only add latency. A hit is never
+      shed;
+    - {b a bounded worker pool} ({!Workers}) runs {!Server.handle} for
+      every other request: misses, which may charge and journal (the
+      blocking writes and fsyncs the workers overlap), and every other op.
       Requests from one connection execute serially (pipelined requests
       are answered in order and session state never races); requests from
-      different connections run concurrently;
+      different connections interleave;
     - {b admission control}: when the worker queue is full the next
-      framed request is answered [Rejected {bucket = "overload"}] without
-      being parsed, executed, or charged — load shedding with a typed
-      reply, audit-logged via {!Server.log_overload}. Connections beyond
-      [max_connections] are refused the same way at accept. Per-analyst
-      token-bucket rate limits live one layer down, in
-      {!Server.config.rate_limit_qps};
+      request bound for it is answered [Rejected {bucket = "overload"}]
+      after its JSON decode but without being SQL-parsed, executed, or
+      charged — load shedding with a typed reply, audit-logged via
+      {!Server.log_overload}. Connections beyond [max_connections] are
+      refused the same way at accept. Per-analyst token-bucket rate limits
+      live one layer down, in {!Server.config.rate_limit_qps}, and apply
+      to hits too;
     - {b backpressure}: a connection with [max_pipeline] framed requests
       waiting, or [max_output_bytes] of unread responses, is simply not
       read from until it drains — the kernel's TCP window pushes back on
@@ -31,8 +40,11 @@
       no fd outlives its usefulness.
 
     The privacy-critical ordering lives in the server: charge → journal →
-    respond all happen inside {!Server.handle} on a worker thread; the
-    reactor only moves bytes.
+    respond all happen inside {!Server.handle}, on a worker thread for
+    every request that may charge. (A release evicted, or a text dropped
+    from the canon memo, between the probe and [handle] turns a hit into
+    a miss that runs the whole pipeline on the reactor thread: correct,
+    just slow for everyone that moment.)
 
     Accepted sockets get [TCP_NODELAY]. The loop is built on
     [Unix.select], so [max_connections] must stay well under [FD_SETSIZE]
@@ -67,7 +79,8 @@ type t
 val listen : ?backlog:int -> ?port:int -> ?config:config -> Server.t -> t
 (** Bind 127.0.0.1 (port 0 — the default — picks an ephemeral one), spawn
     the worker pool, and register [flex_connections_open],
-    [flex_requests_inflight] and [flex_overload_rejections_total] on the
+    [flex_requests_inflight], [flex_reactor_answered_total],
+    [flex_overload_rejections_total] and [flex_idle_closed_total] on the
     server's metrics registry (when telemetry is on). The loop itself
     starts with {!start} or {!run}. *)
 
@@ -88,10 +101,16 @@ val stop : t -> unit
 type stats = {
   connections_open : int;
   accepted_total : int;
+  answered_total : int;
+      (** store hits answered on the reactor thread
+          ([flex_reactor_answered_total]) *)
+  dispatched_total : int;  (** requests handed to the worker pool *)
   shed_total : int;  (** requests answered with the overload rejection *)
   conn_refused_total : int;  (** accepts turned away at [max_connections] *)
   idle_closed_total : int;  (** connections reaped by the idle sweep *)
-  requests_inflight : int;  (** admitted to the worker pool, not yet done *)
+  requests_inflight : int;
+      (** admitted to the worker pool, not yet done; a hit answered on the
+          reactor is never in flight *)
 }
 
 val stats : t -> stats

@@ -59,8 +59,8 @@ let key ~sql_canonical ~fingerprint ~flags ~epsilon ~delta =
       sql_canonical;
       fingerprint;
       flags;
-      Printf.sprintf "%.17g" epsilon;
-      Printf.sprintf "%.17g" delta;
+      Json.number_string epsilon;
+      Json.number_string delta;
     ]
 
 (* --- journal lines --------------------------------------------------------- *)
@@ -380,6 +380,8 @@ let close t =
 let path t = t.journal_path
 
 (* --- operations ------------------------------------------------------------- *)
+
+let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)
 
 let find t key =
   with_lock t (fun () ->

@@ -67,8 +67,9 @@ val key :
   epsilon:float ->
   delta:float ->
   string
-(** The composite cache key; floats are rendered in round-trip precision so
-    distinct budgets can never collide. *)
+(** The composite cache key; floats are rendered in round-trip precision
+    ([%.17g] text, {!Json.number_string}) so distinct budgets can never
+    collide. *)
 
 val create : ?capacity:int -> unit -> t
 (** In-memory store (default capacity 4096 releases). *)
@@ -91,6 +92,10 @@ val path : t -> string option
 
 val find : t -> string -> entry option
 (** Lookup by composite key, counting a hit or a miss. *)
+
+val mem : t -> string -> bool
+(** Whether a release is stored under the key. Counts nothing: it is the
+    reactor's probe ({!Server.store_hit}), which must leave no trace. *)
 
 val record : t -> entry -> entry
 (** Journal (flush, fsync when [sync]) and admit a finished release, then

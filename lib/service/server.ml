@@ -508,6 +508,17 @@ let release_flags (o : Flex.options) =
     (match o.smoothing with `Smooth -> "smooth" | `Elastic_k0 -> "elastic_k0")
     (match o.noise with `Laplace -> "laplace" | `Cauchy -> "cauchy")
 
+(* The canonical key of a query: its core's for a factored text. It keys the
+   release store, the analysis cache and the statement table. *)
+let canon_key = function Factored f -> f.core_sql | Whole { canon; _ } -> canon
+
+(* The release-store key of a canonical query under [options] in the data
+   epoch [fingerprint]: the one definition, shared by [run_query] and the
+   reactor's probe [store_hit]. *)
+let release_key ~fingerprint (options : Flex.options) canonical =
+  Release_store.key ~sql_canonical:(canon_key canonical) ~fingerprint
+    ~flags:(release_flags options) ~epsilon:options.epsilon ~delta:options.delta
+
 let budget_report t analyst =
   match Ledger.summary t.ledger ~analyst with
   | Some s ->
@@ -729,6 +740,11 @@ let handle_explain t session ~sql =
   | Error e -> wire_rejection (Errors.Parse_error e)
   | Ok stmt -> explain_statement t session ~sql stmt
 
+(* A request's privacy parameters, the server's defaults filling in. *)
+let privacy_level t ~epsilon ~delta =
+  ( Option.value epsilon ~default:t.config.default_epsilon,
+    Option.value delta ~default:t.config.default_delta )
+
 (* Admission, ahead of everything else. The token bucket is a scheduling
    decision (no parse, no analysis, no ledger), so a runaway dashboard is
    turned away at the door instead of queueing work; operators tune
@@ -824,16 +840,12 @@ let run_query t session req ~analyst ~epsilon ~delta canonical =
   (* What analyzes/executes on a miss: the canonical core for factorable
      queries (paying once for all its base aggregates), the original AST
      otherwise. *)
-  let canon, fact, exec_ast =
-    match canonical with
-    | Factored f -> (f.core_sql, Some f, f.core)
-    | Whole { canon; ast } -> (canon, None, ast)
+  let canon = canon_key canonical in
+  let fact, exec_ast =
+    match canonical with Factored f -> (Some f, f.core) | Whole { ast; _ } -> (None, ast)
   in
   req.key <- Some canon;
-  let release_key =
-    Release_store.key ~sql_canonical:canon ~fingerprint ~flags:(release_flags options)
-      ~epsilon ~delta
-  in
+  let release_key = release_key ~fingerprint options canonical in
   match replay t req ~analyst fact release_key with
   | Some answered -> answered
   | None ->
@@ -911,8 +923,7 @@ let handle_query t session ~sql ~epsilon ~delta ~id =
   match session.analyst with
   | None -> Wire.Error_msg "no analyst: send hello first"
   | Some analyst -> (
-    let epsilon = Option.value epsilon ~default:t.config.default_epsilon in
-    let delta = Option.value delta ~default:t.config.default_delta in
+    let epsilon, delta = privacy_level t ~epsilon ~delta in
     match admit t ~analyst ~epsilon ~delta with
     | Error outcome -> conclude t (request ?id ~analyst ~sql ()) outcome
     | Ok () -> (
@@ -1100,10 +1111,28 @@ let handle t session req =
 
 let session_analyst (s : session) = s.analyst
 
-(* The reactor sheds a request it never parsed (worker queue full): it
+(* Whether [handle] would answer [req] from the release store, at zero
+   budget: a query from a session with an analyst, at an admissible privacy
+   level, whose text is in the canon memo and whose release is stored. The
+   lookups count nothing, and neither the rate limiter nor the audit log is
+   consulted, so a request turned away leaves no trace of the look. *)
+let store_hit t session (req : Wire.request) =
+  match (req, session.analyst, t.release_store) with
+  | Query { sql; epsilon; delta; _ }, Some _, Some store -> (
+    let epsilon, delta = privacy_level t ~epsilon ~delta in
+    Result.is_ok (validate_privacy t ~epsilon ~delta)
+    &&
+    match Cache.peek t.canon_memo ~key:sql with
+    | None -> false
+    | Some canonical ->
+      let _, _, fingerprint = epoch t in
+      Release_store.mem store
+        (release_key ~fingerprint (options_for t ~epsilon ~delta) canonical))
+  | _ -> false
+
+(* The reactor sheds a request it never SQL-parsed (worker queue full): it
    concludes like every other admission decision, and the reactor sends its
-   own precomputed reply. The raw line stands in for the SQL — truncated,
-   it may not even be JSON. *)
+   own precomputed reply. The raw line stands in for the SQL, truncated. *)
 let log_overload t ~analyst ~line =
   let sql =
     if String.length line <= 200 then line else String.sub line 0 200 ^ "..."
@@ -1113,6 +1142,7 @@ let log_overload t ~analyst ~line =
   ignore (conclude t req (Rejected { bucket = "overload"; reason }))
 
 let cache t = t.analysis_cache
+let canon_memo t = t.canon_memo
 let release_store t = t.release_store
 let registry t = t.registry
 let statements t = t.statements

@@ -143,13 +143,27 @@ val session_analyst : session -> string option
     they ever reach {!handle}. *)
 
 val log_overload : t -> analyst:string option -> line:string -> unit
-(** Audit-log a request the connection layer shed before parsing (worker
-    queue full): outcome [Rejected "overload"], the raw wire line standing
-    in for the SQL (truncated to 200 bytes). Concludes like a query:
+(** Audit-log a request the connection layer shed before SQL parsing
+    (worker queue full; the line was JSON-decoded, nothing more): outcome
+    [Rejected "overload"], the raw wire line standing in for the SQL
+    (truncated to 200 bytes). Concludes like a query:
     counted under [queries] and [rejected], charged nothing. *)
 
 val handle : t -> session -> Wire.request -> Wire.response
 (** Serve one request. Never raises. *)
+
+val store_hit : t -> session -> Wire.request -> bool
+(** Whether {!handle} would answer [req] from the release store at zero
+    budget — a replay or a derivation: a [Query] from a session that has
+    sent [hello], at an admissible privacy level, whose SQL text is in the
+    canon memo and whose release is stored. This is how {!Reactor} picks
+    the requests it answers on its own thread. The probe has no side
+    effects: it moves no canon-memo, release-store or analysis-cache
+    counter, spends no rate-limit token and audits nothing. [handle] still
+    runs admission and rate limiting, so a rate-limited hit is rejected
+    there; and a release evicted (or a text dropped from the canon memo)
+    between the probe and [handle] is simply a miss that runs the full
+    pipeline. Never raises. *)
 
 type 'a counts = {
   queries : 'a;
@@ -177,6 +191,13 @@ type counters = int counts
 
 val counters : t -> counters
 val cache : t -> (Flex_core.Elastic.analysis, Flex_core.Errors.reason) result Cache.t
+
+type canonical
+(** A memoised query text's canonical form (its factored core and suffix). *)
+
+val canon_memo : t -> canonical Cache.t
+(** The canon memo: raw SQL text to canonical form, looked up before
+    parsing. Its hit and miss counts are the ones to watch. *)
 
 val release_store : t -> Release_store.t option
 (** The server's release store ([None] when [config.release_cache] is off). *)

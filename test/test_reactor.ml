@@ -6,6 +6,8 @@ module Rate_limit = Flex_service.Rate_limit
 module Load_driver = Flex_service.Load_driver
 module Audit = Flex_service.Audit
 module Json = Flex_service.Json
+module Cache = Flex_service.Cache
+module Release_store = Flex_service.Release_store
 module Ledger = Flex_dp.Ledger
 module Rng = Flex_dp.Rng
 module Registry = Flex_obs.Registry
@@ -409,6 +411,8 @@ let reactor_tests =
               (value "flex_requests_inflight" <> None);
             Alcotest.(check (option (float 0.0))) "no sheds yet" (Some 0.0)
               (value "flex_overload_rejections_total");
+            Alcotest.(check (option (float 0.0))) "no hits answered yet" (Some 0.0)
+              (value "flex_reactor_answered_total");
             Unix.close fd));
   ]
 
@@ -679,6 +683,266 @@ let observability_tests =
                       [ "parse"; "execute"; "perturb" ])))));
   ]
 
+(* --- reactor: store hits on the reactor thread ------------------------------------ *)
+
+let core_sql = "SELECT t.status, COUNT(*) FROM trips t GROUP BY t.status"
+let derived_sql = core_sql ^ " ORDER BY 2 DESC LIMIT 2"
+let query ?id ?epsilon sql = Wire.Query { sql; epsilon; delta = None; id }
+
+(* A reply line without the [id] the response echoes as its last field. *)
+let strip_id ~id line =
+  let suffix = Printf.sprintf ",\"id\":\"%s\"}" id in
+  if String.ends_with ~suffix line then
+    String.sub line 0 (String.length line - String.length suffix) ^ "}"
+  else Alcotest.failf "reply does not end with its id %s: %s" id line
+
+let raw_line next =
+  match next () with None -> Alcotest.fail "unexpected EOF from the reactor" | Some l -> l
+
+(* Audit lines with their wall-clock and stage timings dropped. *)
+let untimed_events buf =
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match Json.of_string_exn l with
+         | Json.Obj fields ->
+           Json.to_string
+             (Json.Obj
+                (List.filter
+                   (fun (k, _) -> k <> "ts" && not (String.ends_with ~suffix:"_ns" k))
+                   fields))
+         | _ -> Alcotest.fail "audit line is not an object")
+
+let hit_path_tests =
+  [
+    Alcotest.test_case "replays and derivations are answered on the reactor thread" `Quick
+      (fun () ->
+        let server, ledger = make_server () in
+        with_reactor server (fun r ->
+            let fd = connect (Reactor.port r) in
+            let next = reader fd in
+            send fd (Wire.Hello { analyst = "alice"; epsilon = None; delta = None });
+            ignore (recv next);
+            (* prime: the core is charged once, and the derived text is
+               memoised by its first (worker-served) derivation *)
+            (match send fd (query ~epsilon:0.5 core_sql); recv next with
+            | Wire.Result res -> Alcotest.(check bool) "charged" false res.cached
+            | other -> Alcotest.failf "prime: %s" (Wire.response_to_line other));
+            (match send fd (query ~epsilon:0.5 derived_sql); recv next with
+            | Wire.Result res -> Alcotest.(check bool) "derived" true res.derived
+            | other -> Alcotest.failf "prime derived: %s" (Wire.response_to_line other));
+            let before = Reactor.stats r in
+            let spent = Ledger.spent ledger ~analyst:"alice" in
+            let n = 25 in
+            let replies sql tag =
+              List.init n (fun i ->
+                  let id = Printf.sprintf "%s%d" tag i in
+                  send fd (query ~id ~epsilon:0.5 sql);
+                  strip_id ~id (raw_line next))
+            in
+            let replays = replies core_sql "r" in
+            let derivations = replies derived_sql "d" in
+            let after = Reactor.stats r in
+            Alcotest.(check int) "2N answered on the reactor" (2 * n)
+              (after.answered_total - before.answered_total);
+            Alcotest.(check int) "no worker submissions" before.dispatched_total
+              after.dispatched_total;
+            Alcotest.(check int) "nothing in flight" 0 after.requests_inflight;
+            let same what = function
+              | [] -> ()
+              | first :: rest ->
+                List.iter (fun l -> Alcotest.(check string) what first l) rest
+            in
+            same "replays are byte-identical" replays;
+            same "derivations are byte-identical" derivations;
+            (match Wire.response_of_line (List.hd replays) with
+            | Ok (Wire.Result res) ->
+              Alcotest.(check bool) "replayed" true (res.cached && not res.derived)
+            | _ -> Alcotest.fail "replay reply");
+            (match Wire.response_of_line (List.hd derivations) with
+            | Ok (Wire.Result res) ->
+              Alcotest.(check bool) "derived" true (res.cached && res.derived)
+            | _ -> Alcotest.fail "derivation reply");
+            Alcotest.(check bool) "zero spend" true
+              (Ledger.spent ledger ~analyst:"alice" = spent);
+            let c = Server.counters server in
+            Alcotest.(check int) "replayed counter" n c.replayed;
+            Alcotest.(check int) "derived counter" (n + 1) c.derived;
+            Unix.close fd));
+    Alcotest.test_case
+      "the reactor's probe counts nothing: same replies, audit, flights and counters as \
+       Server.handle"
+      `Quick (fun () ->
+        (* one token per analyst and no refill to speak of: an analyst's
+           second query is rate limited, on both servers alike *)
+        let config = { Server.default_config with rate_limit_qps = Some 1e-6 } in
+        let hello conn =
+          let analyst = Printf.sprintf "a%d" conn in
+          (conn, Wire.Hello { analyst; epsilon = None; delta = None }, "budget")
+        in
+        let steps =
+          [
+            hello 0;
+            (0, query ~id:"miss" ~epsilon:0.5 core_sql, "granted");
+            (0, query ~id:"limited-hit" ~epsilon:0.5 core_sql, "rejected:rate_limit");
+            hello 1;
+            (1, query ~id:"replay" ~epsilon:0.5 core_sql, "replayed");
+            hello 2;
+            (2, query ~id:"first-derivation" ~epsilon:0.5 derived_sql, "derived");
+            hello 3;
+            (3, query ~id:"derivation" ~epsilon:0.5 derived_sql, "derived");
+            hello 4;
+            (4, query ~id:"epsilon-over-cap" ~epsilon:50.0 core_sql, "rejected:admission");
+            hello 9;
+            (9, query ~id:"zero-epsilon" ~epsilon:0.0 core_sql, "rejected:admission");
+            (5, query ~id:"before-hello" ~epsilon:0.5 core_sql, "error");
+            hello 6;
+            (6, query ~id:"explain" ("EXPLAIN " ^ core_sql), "plan");
+            hello 7;
+            (7, query ~id:"parse-error" "SELEC nonsense", "rejected:parse");
+            hello 8;
+            (8, query ~id:"second-miss" ~epsilon:0.25 core_sql, "granted");
+            (1, query ~id:"limited-replay" ~epsilon:0.5 core_sql, "rejected:rate_limit");
+          ]
+        in
+        let kind = function
+          | Wire.Result r ->
+            if r.derived then "derived" else if r.cached then "replayed" else "granted"
+          | Wire.Rejected r -> "rejected:" ^ r.bucket
+          | Wire.Error_msg _ -> "error"
+          | Wire.Plan_report _ -> "plan"
+          | Wire.Budget_report _ -> "budget"
+          | other -> Wire.response_to_line other
+        in
+        (* [handle] on the reactor thread: the rate-limited hits, the replay
+           and the second derivation *)
+        let reactor_hits = 4 in
+        let run_direct () =
+          let buf = Buffer.create 1024 in
+          let server, _ = make_server ~audit:(Audit.to_buffer buf) ~config () in
+          let sessions = Hashtbl.create 8 in
+          let replies =
+            List.map
+              (fun (conn, req, _) ->
+                let session =
+                  match Hashtbl.find_opt sessions conn with
+                  | Some s -> s
+                  | None ->
+                    let s = Server.session server in
+                    Hashtbl.replace sessions conn s;
+                    s
+                in
+                Wire.response_to_line ?id:(Wire.request_id req)
+                  (Server.handle server session req))
+              steps
+          in
+          (server, buf, replies)
+        in
+        let run_reactor () =
+          let buf = Buffer.create 1024 in
+          let server, _ = make_server ~audit:(Audit.to_buffer buf) ~config () in
+          let replies, answered =
+            with_reactor server (fun r ->
+                let conns = Hashtbl.create 8 in
+                let replies =
+                  List.map
+                    (fun (conn, req, _) ->
+                      (* connections open in first-use order, each served
+                         before the next opens, so sessions split the RNG in
+                         the same order as [run_direct] *)
+                      let fd, next =
+                        match Hashtbl.find_opt conns conn with
+                        | Some c -> c
+                        | None ->
+                          let fd = connect (Reactor.port r) in
+                          (* a reactor thread that died fails the test
+                             instead of hanging it *)
+                          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+                          let c = (fd, reader fd) in
+                          Hashtbl.replace conns conn c;
+                          c
+                      in
+                      send fd req;
+                      raw_line next)
+                    steps
+                in
+                Hashtbl.iter (fun _ (fd, _) -> Unix.close fd) conns;
+                (replies, (Reactor.stats r).answered_total))
+          in
+          (server, buf, replies, answered)
+        in
+        let direct, direct_audit, direct_replies = run_direct () in
+        let reactor, reactor_audit, reactor_replies, answered = run_reactor () in
+        Alcotest.(check int) "hits answered on the reactor" reactor_hits answered;
+        List.iter2
+          (fun (_, req, expect) (d, r) ->
+            let what = Wire.request_to_line req in
+            Alcotest.(check string) ("outcome of " ^ what) expect
+              (kind (Result.get_ok (Wire.response_of_line d)));
+            Alcotest.(check string) ("reply to " ^ what) d r)
+          steps
+          (List.combine direct_replies reactor_replies);
+        Alcotest.(check (list string)) "audit events" (untimed_events direct_audit)
+          (untimed_events reactor_audit);
+        let flights server =
+          List.map
+            (fun (f : Flex_obs.Flight.record) ->
+              ( f.seq,
+                (f.id, f.analyst, f.sql, f.key, f.outcome),
+                ( f.epsilon,
+                  f.delta,
+                  Option.map
+                    (fun (v : Flex_obs.Span.view) ->
+                      List.map (fun (c : Flex_obs.Span.view) -> c.name) v.children)
+                    f.trace ) ))
+            (Flex_obs.Flight.snapshot (Option.get (Server.flights server)))
+        in
+        Alcotest.(check bool) "flight records" true (flights direct = flights reactor);
+        Alcotest.(check bool) "request counters" true
+          (Server.counters direct = Server.counters reactor);
+        let store server = Option.get (Server.release_store server) in
+        let rs_direct = Release_store.stats (store direct)
+        and rs_reactor = Release_store.stats (store reactor) in
+        Alcotest.(check (pair int int)) "release-store hits and misses"
+          (rs_direct.hits, rs_direct.misses) (rs_reactor.hits, rs_reactor.misses);
+        let counts c = (Cache.hits c, Cache.misses c) in
+        Alcotest.(check (pair int int)) "canon-memo hits and misses"
+          (counts (Server.canon_memo direct)) (counts (Server.canon_memo reactor));
+        Alcotest.(check (pair int int)) "analysis-cache hits and misses"
+          (counts (Server.cache direct)) (counts (Server.cache reactor)));
+    Alcotest.test_case "a hostile nested line gets an error while hits keep flowing"
+      `Quick (fun () ->
+        let server, _ = make_server () in
+        with_reactor server (fun r ->
+            let fd = connect (Reactor.port r) in
+            let next = reader fd in
+            send fd (Wire.Hello { analyst = "alice"; epsilon = None; delta = None });
+            ignore (recv next);
+            ignore (send fd (query ~epsilon:0.5 core_sql); recv next);
+            let hostile = connect (Reactor.port r) in
+            let hostile_next = reader hostile in
+            (* 1 MiB of brackets: the frame cap, nested 1M deep *)
+            let sender =
+              Thread.create
+                (fun () -> send_string hostile (String.make ((1 lsl 20) - 1) '[' ^ "\n"))
+                ()
+            in
+            for _ = 1 to 50 do
+              match send fd (query ~epsilon:0.5 core_sql); recv next with
+              | Wire.Result res -> Alcotest.(check bool) "replayed" true res.cached
+              | other -> Alcotest.failf "hit: %s" (Wire.response_to_line other)
+            done;
+            Thread.join sender;
+            (match recv hostile_next with
+            | Wire.Error_msg m ->
+              Alcotest.(check bool) ("names the nesting limit: " ^ m) true
+                (Astring.String.is_infix ~affix:"nesting" m)
+            | other -> Alcotest.failf "hostile line: %s" (Wire.response_to_line other));
+            Alcotest.(check bool) "the hits were the reactor's" true
+              ((Reactor.stats r).answered_total >= 50);
+            List.iter Unix.close [ fd; hostile ]));
+  ]
+
 let suites =
   [
     ("reactor-workers", workers_tests);
@@ -686,4 +950,5 @@ let suites =
     ("reactor-protocol", reactor_tests);
     ("reactor-observability", observability_tests);
     ("reactor-overload", overload_tests);
+    ("reactor-hits", hit_path_tests);
   ]

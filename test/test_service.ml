@@ -7,6 +7,7 @@ module Reactor = Flex_service.Reactor
 module Release_store = Flex_service.Release_store
 module Ledger = Flex_dp.Ledger
 module Budget = Flex_dp.Budget
+module Float_text = Flex_dp.Float_text
 module Rng = Flex_dp.Rng
 module Canon = Flex_sql.Canon
 module Parser = Flex_sql.Parser
@@ -45,6 +46,42 @@ let json_gen =
 
 let arb_json = QCheck.make ~print:Json.to_string json_gen
 
+(* The number text the JSON encoder used to build with Printf. *)
+let printf_number_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+(* Every kind of double: random bit patterns (NaNs, infinities and
+   subnormals among them), integers up to 1e15 either side, subnormals,
+   eighths, and the integers just around 1e15. *)
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.float_of_bits ui64;
+        map float_of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000);
+        map
+          (fun (m, neg) ->
+            let f = Int64.float_of_bits (Int64.of_int m) in
+            if neg then -.f else f)
+          (pair (int_range 0 ((1 lsl 52) - 1)) bool);
+        map (fun i -> float_of_int i /. 8.0) (int_range (-80000) 80000);
+        map (fun d -> 1e15 +. float_of_int d) (int_range (-64) 64);
+        oneofl [ 0.0; -0.0; Float.max_float; -.Float.max_float; Float.min_float ];
+      ])
+
+let number_text_prop =
+  QCheck.Test.make ~name:"number text is Printf's %.17g, byte for byte" ~count:20000
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+    (fun f ->
+      let want = Printf.sprintf "%.17g" f in
+      if Float_text.to_string f <> want then
+        QCheck.Test.fail_reportf "Float_text %S, Printf %S" (Float_text.to_string f) want
+      else if Json.number_string f <> printf_number_string f then
+        QCheck.Test.fail_reportf "Json %S, Printf %S" (Json.number_string f)
+          (printf_number_string f)
+      else true)
+
 let json_tests =
   [
     Alcotest.test_case "escapes and unicode decode" `Quick (fun () ->
@@ -66,6 +103,52 @@ let json_tests =
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "expected parse failure for %s" s)
           [ "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\" 1}"; "1 2"; "" ]);
+    QCheck_alcotest.to_alcotest number_text_prop;
+    Alcotest.test_case "number text edge cases are Printf's" `Quick (fun () ->
+        List.iter
+          (fun f ->
+            Alcotest.(check string)
+              (Printf.sprintf "%h" f) (Printf.sprintf "%.17g" f) (Float_text.to_string f);
+            Alcotest.(check string)
+              (Printf.sprintf "json %h" f) (printf_number_string f) (Json.number_string f))
+          [
+            0.0; -0.0; 1.0; -1.0; 0.1; 1e15; -1e15; 1e15 -. 1.0; 1e15 +. 1.0; 1e16; 1e17;
+            9007199254740992.0; 9007199254740993.0; -9007199254740992.0; Float.max_float;
+            -.Float.max_float; Float.min_float; 4.9e-324; -4.9e-324; Float.epsilon;
+            Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 123456789.125;
+          ]);
+    Alcotest.test_case "nesting is bounded: the limit decodes, one more is refused"
+      `Quick (fun () ->
+        let nested n = String.make n '[' ^ String.make n ']' in
+        let objects n =
+          let b = Buffer.create (8 * n) in
+          for _ = 1 to n do Buffer.add_string b {|{"a":|} done;
+          Buffer.add_string b "1";
+          Buffer.add_string b (String.make n '}');
+          Buffer.contents b
+        in
+        Alcotest.(check int) "limit" 256 Json.max_depth;
+        Alcotest.(check bool) "256 arrays decode" true
+          (Result.is_ok (Json.of_string (nested Json.max_depth)));
+        Alcotest.(check bool) "256 objects decode" true
+          (Result.is_ok (Json.of_string (objects Json.max_depth)));
+        List.iter
+          (fun doc ->
+            match Json.of_string doc with
+            | Error m ->
+              Alcotest.(check bool) ("names the limit: " ^ m) true
+                (Astring.String.is_infix ~affix:"nesting deeper than 256" m)
+            | Ok _ -> Alcotest.fail "257 levels decoded")
+          [ nested (Json.max_depth + 1); objects (Json.max_depth + 1) ]);
+    Alcotest.test_case "a 1 MiB line of brackets is refused at once" `Quick (fun () ->
+        (* before the bound this took ~0.6 s: decode time grew with the
+           square of the nesting *)
+        let line = String.make (1 lsl 20) '[' in
+        let t0 = Unix.gettimeofday () in
+        let r = Json.of_string line in
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) "refused" true (Result.is_error r);
+        Alcotest.(check bool) (Printf.sprintf "fast (%.1f us)" (dt *. 1e6)) true (dt < 0.05));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"of_string (to_string j) = j" ~count:500 arb_json (fun j ->
            match Json.of_string (Json.to_string j) with
