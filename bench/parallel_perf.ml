@@ -1,18 +1,23 @@
-(* Tracked multicore benchmark: the morsel-parallel executor swept over
-   domain counts against its own sequential pipeline, plus FLEX service
-   throughput with a shared execution pool.
+(* Tracked multicore benchmark: the columnar engine's morsel dispatch
+   ({!Flex_engine.Parallel.gather}) swept over domain counts against its own
+   sequential run, plus FLEX service throughput with a shared execution
+   pool.
 
      dune exec bench/parallel_perf.exe                 -- writes BENCH_parallel.json
      dune exec bench/parallel_perf.exe -- --out FILE   -- choose the output path
      dune exec bench/parallel_perf.exe -- --smoke      -- small scales, JSON sanity check
 
-   Every timed configuration is first checked to return results identical to
-   the sequential pipeline — the parallel operators are order-preserving, so
-   anything short of equality is a bug, not noise. The JSON records
-   [host_cpus] (Domain.recommended_domain_count) next to every speedup: on a
-   single-CPU host the pool's domains time-slice one core, so the honest
-   expectation there is ~1.0x or below, and the tracked number bounds the
-   parallel machinery's overhead rather than demonstrating scaling. *)
+   The row engine is sequential, so every shape and service query must run
+   columnar: each one asserts that {!Executor.columnar_fallbacks} did not
+   move, and the sweep therefore measures the morsel dispatch and nothing
+   else. Every timed configuration is first checked to return results
+   identical to the sequential run — the morsel kernels are
+   order-preserving, so anything short of equality is a bug, not noise. The
+   JSON records [host_cpus] (Domain.recommended_domain_count) next to every
+   speedup: with one CPU, or two that share little capacity, the pool's
+   domains time-slice the cores, so the honest expectation is ~1.0x or
+   below and the tracked number bounds the dispatch overhead rather than
+   demonstrating scaling. *)
 
 module Rng = Flex_dp.Rng
 module Ledger = Flex_dp.Ledger
@@ -167,9 +172,20 @@ type entry = {
   by_domains : (int * float) list;
 }
 
+(* [columnar what f] runs [f] and fails if the row engine took over any
+   select body meanwhile. *)
+let columnar what f =
+  let before = Executor.columnar_fallbacks () in
+  let r = f () in
+  if Executor.columnar_fallbacks () <> before then
+    Fmt.failwith "%s fell back to the row engine; the sweep would not time the morsel dispatch"
+      what;
+  r
+
 let bench_engine substrate (db : Database.t) pools shapes acc =
   List.fold_left
     (fun acc s ->
+      columnar (Fmt.str "%s/%s" substrate s.sname) @@ fun () ->
       let input_rows =
         match Database.find_opt db s.table with
         | Some t -> Array.length (Table.rows t)
@@ -180,7 +196,7 @@ let bench_engine substrate (db : Database.t) pools shapes acc =
         | Ok r -> r
         | Error e -> Fmt.failwith "%s/%s: %s" substrate s.sname e
       in
-      (* the parallel pipeline must be result-identical before it is timed *)
+      (* every pool must be result-identical before it is timed *)
       List.iter
         (fun (d, pool) ->
           match Executor.run_sql ~pool db s.sql with
@@ -282,8 +298,10 @@ let json_of results service host_cpus =
   Buffer.add_string b
     (Fmt.str "  \"host_cpus\": %d,\n  \"smoke\": %b,\n" host_cpus !smoke);
   Buffer.add_string b
-    "  \"note\": \"speedup > 1.0 requires host_cpus > 1; on a single-CPU host these numbers \
-     bound the parallel machinery's overhead instead of demonstrating scaling\",\n";
+    "  \"note\": \"every engine shape and service query runs on the columnar engine (checked: \
+     no row-engine fallback), so the sweep times its morsel dispatch alone; the row engine is \
+     sequential. speedup > 1.0 requires host_cpus > 1 with spare capacity; otherwise these \
+     numbers bound the dispatch overhead instead of demonstrating scaling\",\n";
   Buffer.add_string b "  \"engine\": [\n";
   List.iteri
     (fun i e ->
@@ -339,7 +357,7 @@ let () =
   let host_cpus = Domain.recommended_domain_count () in
   let rng = Rng.create ~seed:42 () in
   (* smoke scales stay above the parallel threshold (2048 rows) on the
-     driving tables so the parallel operators genuinely run *)
+     driving tables so the morsel dispatch genuinely runs *)
   let uber_sizes =
     if !smoke then { W.Uber.cities = 8; drivers = 100; users = 150; trips = 3000; user_tags = 60 }
     else W.Uber.default_sizes
@@ -361,7 +379,9 @@ let () =
     List.map
       (fun (d, pool) ->
         let pool = if d > 1 then Some pool else None in
-        let queries, wall_ns = service_qps fixture pool in
+        let queries, wall_ns =
+          columnar (Fmt.str "service d=%d" d) (fun () -> service_qps fixture pool)
+        in
         Fmt.pr "  service d=%d: %d queries in %.1f ms (%.0f q/s)@." d queries (wall_ns /. 1e6)
           (float_of_int queries /. (wall_ns /. 1e9));
         (d, queries, wall_ns))

@@ -9,7 +9,14 @@
 
    Per (substrate, scale, shape) the JSON records median ns/query for both
    pipelines, the speedup, and compiled rows/sec (input rows of the shape's
-   primary table divided by median compiled time). *)
+   primary table divided by median compiled time).
+
+   It also records the fallback share of the paper workloads: how many of
+   their optimized plans the row engine runs because the columnar engine
+   declined a select body ({!Executor.columnar_fallbacks}). The corpora are
+   the Qgen queries of seed 11 with their population companions, the six
+   §5.5 programs and the five TPC-H queries. No generated Qgen plan may
+   fall back: --smoke fails if one does. *)
 
 module Rng = Flex_dp.Rng
 module Database = Flex_engine.Database
@@ -17,6 +24,7 @@ module Table = Flex_engine.Table
 module Executor = Flex_engine.Executor
 module Reference = Flex_engine.Reference
 module Columnar = Flex_engine.Columnar
+module Optimizer = Flex_engine.Optimizer
 module W = Flex_workload
 
 let smoke = ref false
@@ -221,9 +229,53 @@ let bench_substrate name scale_label (db : Database.t) shapes acc =
       r :: acc)
     acc shapes
 
+(* ---------------------------------------------------------- fallback share *)
+
+type share = { corpus : string; queries : int; fallbacks : int }
+
+(* Run each query's optimized plan, as the service does, and count the
+   plans during which the row engine took over a select body. *)
+let fallback_share corpus db metrics sqls =
+  let falls_back sql =
+    let plan = Optimizer.plan ~metrics (Flex_sql.Parser.parse_exn sql) in
+    let before = Executor.columnar_fallbacks () in
+    ignore (Executor.run_plan db plan);
+    Executor.columnar_fallbacks () > before
+  in
+  let s =
+    { corpus; queries = List.length sqls; fallbacks = List.length (List.filter falls_back sqls) }
+  in
+  Fmt.pr "  %-8s %3d of %3d optimized plans fall back to the row engine@." corpus s.fallbacks
+    s.queries;
+  s
+
+let share s = float_of_int s.fallbacks /. float_of_int (max 1 s.queries)
+
+let fallback_shares ~uber_sizes ~tpch_scale =
+  let rng = Rng.create ~seed:7 () in
+  let udb, umetrics = W.Uber.generate ~sizes:uber_sizes (Rng.split rng) in
+  let qgen =
+    W.Qgen.generate (Rng.create ~seed:11 ()) ~count:120 ~n_cities:uber_sizes.W.Uber.cities
+      ~n_drivers:uber_sizes.drivers ~n_users:uber_sizes.users
+  in
+  let tdb, tmetrics = W.Tpch.generate ~scale:tpch_scale (Rng.split rng) in
+  Fmt.pr "fallback share (optimized plans, no pool)@.";
+  let qgen =
+    fallback_share "qgen" udb umetrics
+      (List.concat_map (fun (q : W.Qgen.t) -> [ q.sql; q.population_sql ]) qgen)
+  in
+  let sec55 =
+    fallback_share "sec5.5" udb umetrics
+      (List.map (fun (p : W.Representative.program) -> p.sql) W.Representative.programs)
+  in
+  let tpch =
+    fallback_share "tpch" tdb tmetrics (List.map (fun (q : W.Tpch.query) -> q.sql) W.Tpch.queries)
+  in
+  [ qgen; sec55; tpch ]
+
 (* ------------------------------------------------------------------ JSON *)
 
-let json_of_rows rows =
+let json_of_rows rows shares =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"benchmark\": \"engine-executor\",\n  \"unit\": \"ns/query\",\n  \"results\": [\n";
   List.iteri
@@ -237,6 +289,14 @@ let json_of_rows rows =
            r.substrate r.scale r.shape r.input_rows r.reference_ns r.compiled_ns
            r.columnar_ns (speedup r) (columnar_speedup r) (rows_per_sec r)))
     rows;
+  Buffer.add_string b "\n  ],\n  \"fallback_share\": [\n";
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_string b ",\n";
+      Buffer.add_string b
+        (Fmt.str "    {\"corpus\": %S, \"queries\": %d, \"fallbacks\": %d, \"share\": %.3f}"
+           s.corpus s.queries s.fallbacks (share s)))
+    shares;
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
@@ -294,7 +354,9 @@ let () =
       rows tpch_scales
   in
   let rows = List.rev rows in
-  let json = json_of_rows rows in
+  let uber_sizes = if !smoke then W.Uber.small_sizes else W.Uber.default_sizes in
+  let shares = fallback_shares ~uber_sizes ~tpch_scale:(if !smoke then 0.0005 else 0.004) in
+  let json = json_of_rows rows shares in
   let out = if !smoke then Filename.temp_file "bench_engine" ".json" else !out_path in
   let oc = open_out out in
   output_string oc json;
@@ -326,6 +388,12 @@ let () =
               r.substrate r.scale r.shape r.columnar_ns r.compiled_ns
         | _ -> ())
       rows;
-    Fmt.pr "smoke ok: JSON well-formed, columnar gate passed, %d result entries@."
+    List.iter
+      (fun s ->
+        if s.corpus = "qgen" && s.fallbacks > 0 then
+          Fmt.failwith "smoke: %d of %d Qgen plans fell back to the row engine" s.fallbacks
+            s.queries)
+      shares;
+    Fmt.pr "smoke ok: JSON well-formed, columnar gate passed, no Qgen fallback, %d result entries@."
       (List.length rows)
   end

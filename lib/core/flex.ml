@@ -146,7 +146,7 @@ let smooth_columns ?span ~options:opts (analysis : Elastic.analysis) : column_re
         analysis.Elastic.columns)
 
 (* Stage 3 — run the unmodified query on the database; [pool] dispatches
-   execution onto the engine's morsel-parallel operators. Under a span the
+   execution onto the columnar engine's morsel-parallel kernels. Under a span the
    optimizer rewrite (when optimizing) and the engine run appear as separate
    children. *)
 let execute ?span ?pool ?(optimize = false) ?metrics ~db (q : Ast.query) :

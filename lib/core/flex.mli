@@ -108,7 +108,7 @@ val execute :
   (Executor.result_set, Errors.reason) result
 (** Stage 3: the unmodified query on the underlying database, engine
     exceptions mapped to typed reasons. [pool] dispatches execution onto the
-    engine's morsel-parallel operators; results are identical either way.
+    columnar engine's morsel-parallel kernels; results are identical either way.
     [~optimize:true] (default false) routes execution through
     {!Optimizer.rewrite}, with [?metrics] doubling as cardinality statistics
     (paper §3.4). The privacy analysis never sees the rewritten plan: result

@@ -45,10 +45,8 @@ type env = {
   (* enclosing query scopes, innermost first: correlated subqueries resolve
      free column references against these *)
   outer : (header array * Value.t array) list;
-  (* shared domain pool for morsel-parallel operators; [None] runs the pure
-     sequential pipeline. Subqueries inherit the pool, and a parallel
-     operator reached from inside another one degrades to sequential through
-     the pool's nested-submission rule. *)
+  (* shared domain pool, handed only to the {!Columnar} engine's morsel
+     dispatch; the row pipeline below is sequential. Subqueries inherit it. *)
   pool : Task_pool.t option;
   (* EXPLAIN ANALYZE collection: when set, plan evaluation records one
      {!Plan.Analyze.stat} per operator, keyed by the path scheme shared with
@@ -260,7 +258,6 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
   in
   let lw = Array.length l.vh and rw = Array.length r.vh in
   let null_row n = Array.make n Value.Null in
-  let pool = env.pool in
   (* Build/probe orientation. The engine's historical shape probes the left
      relation against a hash table built on the right; the optimizer's
      cost model may flip that ([build_left]) when the left input is the
@@ -291,28 +288,18 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
     if bl then fun brow -> Array.append brow (null_row rw)
     else fun brow -> Array.append (null_row lw) brow
   in
-  (* [probe emit]: stream the join output probe row by probe row,
-     parallelised over morsels of the probe relation. [emit prow push]
-     pushes every match for [prow] in build order and returns whether any
-     matched; per-chunk outputs are concatenated in chunk order, so the
-     result row order is identical to the sequential scan. [bmatched]
-     writes race benignly across chunks (every write is [true], and reads
-     happen only after the pool joins). *)
+  (* [probe emit]: stream the join output probe row by probe row. [emit
+     prow push] pushes every match for [prow] in build order and returns
+     whether any matched. *)
   let probe (emit : Value.t array -> (Value.t array -> unit) -> bool) :
       Value.t array Vec.t =
-    let np = Vec.length probe_v in
-    let chunk lo hi =
-      let out = Vec.create () in
-      for i = lo to hi - 1 do
-        let prow = Vec.unsafe_get probe_v i in
+    let out = Vec.create () in
+    Vec.iter
+      (fun prow ->
         let matched = emit prow (Vec.push out) in
-        if (not matched) && pad_probe then Vec.push out (pad_probe_row prow)
-      done;
-      out
-    in
-    match Parallel.gather pool np chunk with
-    | None -> chunk 0 np
-    | Some parts -> Vec.concat parts
+        if (not matched) && pad_probe then Vec.push out (pad_probe_row prow))
+      probe_v;
+    out
   in
   let out =
     match (kind, keys) with
@@ -348,10 +335,7 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
       (* Hash join on the equality keys: key columns pre-extracted into int
          arrays, build side bucketed in a keyed table. Build-side indices are
          appended in scan order, so matches come out in the right relation's
-         row order. Large build sides are hash-partitioned and built in
-         parallel: all candidates for one key land in one partition, in
-         ascending row order, so probes observe exactly the sequential build
-         order. *)
+         row order. *)
       let pks = Array.of_list (List.map (if bl then snd else fst) keys) in
       let bks = Array.of_list (List.map (if bl then fst else snd) keys) in
       let nk = Array.length pks in
@@ -418,46 +402,6 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
                 done
               | _ -> ()
           end
-          else if Parallel.parallel_worthy pool nb then begin
-            (* sparse int keys, large build side: hash-partitioned parallel
-               build into per-partition unboxed tables. Each partition's rows
-               arrive in ascending row order, so candidate order per key is
-               identical to the sequential build. *)
-            let parts = Parallel.partition_count pool in
-            let mask = parts - 1 in
-            let pidx =
-              Parallel.partition ?pool ~partitions:parts
-                (fun ri ->
-                  match (Vec.unsafe_get build_v ri).(bk) with
-                  | Value.Int k -> k land mask
-                  | _ -> 0)
-                nb
-            in
-            let tbls =
-              Array.init parts (fun _ -> Row_table.Int_key.create (max 16 (nb / parts)))
-            in
-            Parallel.tasks pool ~n:parts (fun p ->
-                let tbl = tbls.(p) in
-                Vec.iter
-                  (fun ri ->
-                    match (Vec.unsafe_get build_v ri).(bk) with
-                    | Value.Int k -> (
-                      match Row_table.Int_key.find_opt tbl k with
-                      | Some cell -> Vec.push cell ri
-                      | None ->
-                        let cell = Vec.create () in
-                        Vec.push cell ri;
-                        Row_table.Int_key.replace tbl k cell)
-                    | _ -> ())
-                  pidx.(p));
-            fun v f ->
-              match Row_table.int_key_of v with
-              | None -> ()
-              | Some k -> (
-                match Row_table.Int_key.find_opt tbls.(k land mask) k with
-                | None -> ()
-                | Some cell -> Vec.iter f cell)
-          end
           else begin
             (* sparse int keys: unboxed int-keyed hashtable *)
             let tbl : int Vec.t Row_table.Int_key.t =
@@ -483,41 +427,6 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
                 | None -> ()
                 | Some cell -> Vec.iter f cell)
           end
-        end
-        else if Parallel.parallel_worthy pool nb then begin
-          (* general scalar keys, large build side: hash-partitioned parallel
-             build. Partitioning uses {!Value.hash} — consistent with SQL
-             equality (Int 2 = Float 2.0), so probe and build always agree on
-             the partition. *)
-          let parts = Parallel.partition_count pool in
-          let mask = parts - 1 in
-          let pidx =
-            Parallel.partition ?pool ~partitions:parts
-              (fun ri ->
-                let v = (Vec.unsafe_get build_v ri).(bk) in
-                if Value.is_null v then 0 else Value.hash v land mask)
-              nb
-          in
-          let tbls =
-            Array.init parts (fun _ -> Row_table.Scalar.create (max 16 (nb / parts)))
-          in
-          Parallel.tasks pool ~n:parts (fun p ->
-              let tbl = tbls.(p) in
-              Vec.iter
-                (fun ri ->
-                  let v = (Vec.unsafe_get build_v ri).(bk) in
-                  if not (Value.is_null v) then
-                    match Row_table.Scalar.find_opt tbl v with
-                    | Some cell -> Vec.push cell ri
-                    | None ->
-                      let cell = Vec.create () in
-                      Vec.push cell ri;
-                      Row_table.Scalar.replace tbl v cell)
-                pidx.(p));
-          fun v f ->
-            match Row_table.Scalar.find_opt tbls.(Value.hash v land mask) v with
-            | None -> ()
-            | Some cell -> Vec.iter f cell
         end
         else begin
           let tbl : int Vec.t Row_table.Scalar.t =
@@ -570,68 +479,22 @@ and join env kind ?(build_left = false) (l : vrel) (r : vrel) (cond : Ast.join_c
         in
         go 0
       in
-      let find_candidates : Value.t array -> int Vec.t option =
-        if Parallel.parallel_worthy pool nb then begin
-          (* large build side: extract key tuples in parallel, hash-partition
-             by {!Row_table.Key.hash} (consistent with the table's equality),
-             build per-partition tables in parallel *)
-          let rkeys = Array.make nb [||] in
-          (* [[||]] marks a NULL in some key column: never inserted *)
-          let fill lo hi =
-            for ri = lo to hi - 1 do
-              let k = Array.make nk Value.Null in
-              if extract_into k bks (Vec.unsafe_get build_v ri) then rkeys.(ri) <- k
-            done
-          in
-          (match Parallel.gather pool nb fill with
-          | None -> fill 0 nb
-          | Some (_ : unit array) -> ());
-          let parts = Parallel.partition_count pool in
-          let mask = parts - 1 in
-          let pidx =
-            Parallel.partition ?pool ~partitions:parts
-              (fun ri ->
-                let k = rkeys.(ri) in
-                if Array.length k = 0 then 0 else Row_table.Key.hash k land mask)
-              nb
-          in
-          let tbls = Array.init parts (fun _ -> Row_table.create (max 16 (nb / parts))) in
-          Parallel.tasks pool ~n:parts (fun p ->
-              let tbl = tbls.(p) in
-              Vec.iter
-                (fun ri ->
-                  let k = rkeys.(ri) in
-                  if Array.length k > 0 then
-                    match Row_table.find_opt tbl k with
-                    | Some cell -> Vec.push cell ri
-                    | None ->
-                      let cell = Vec.create () in
-                      Vec.push cell ri;
-                      Row_table.replace tbl k cell)
-                pidx.(p));
-          fun key -> Row_table.find_opt tbls.(Row_table.Key.hash key land mask) key
-        end
-        else begin
-          let tbl : int Vec.t Row_table.t = Row_table.create (max 16 nb) in
-          let scratch = Array.make nk Value.Null in
-          Vec.iteri
-            (fun ri rrow ->
-              if extract_into scratch bks rrow then
-                match Row_table.find_opt tbl scratch with
-                | Some cell -> Vec.push cell ri
-                | None ->
-                  let cell = Vec.create () in
-                  Vec.push cell ri;
-                  Row_table.replace tbl (Array.copy scratch) cell)
-            build_v;
-          fun key -> Row_table.find_opt tbl key
-        end
-      in
+      let tbl : int Vec.t Row_table.t = Row_table.create (max 16 nb) in
+      let scratch = Array.make nk Value.Null in
+      Vec.iteri
+        (fun ri rrow ->
+          if extract_into scratch bks rrow then
+            match Row_table.find_opt tbl scratch with
+            | Some cell -> Vec.push cell ri
+            | None ->
+              let cell = Vec.create () in
+              Vec.push cell ri;
+              Row_table.replace tbl (Array.copy scratch) cell)
+        build_v;
       probe (fun prow push ->
           let matched = ref false in
-          let scratch = Array.make nk Value.Null in
           (if extract_into scratch pks prow then
-             match find_candidates scratch with
+             match Row_table.find_opt tbl scratch with
              | None -> ()
              | Some candidates ->
                Vec.iter
@@ -665,7 +528,7 @@ and select_tail env (source : vrel) ~(on_where : (int -> unit) option)
     | None -> source.vr
     | Some pred ->
       let cp = compile_expr env source.vh pred in
-      let f = Parallel.filter ?pool:env.pool (fun row -> Eval.is_truthy (cp row)) source.vr in
+      let f = Vec.filter (fun row -> Eval.is_truthy (cp row)) source.vr in
       (match on_where with Some cb -> cb (Vec.length f) | None -> ());
       f
   in
@@ -683,62 +546,15 @@ and select_tail env (source : vrel) ~(on_where : (int -> unit) option)
       let cps =
         Array.of_list (List.map (fun (e, _) -> compile_expr env source.vh e) projections)
       in
-      Parallel.map ?pool:env.pool (fun row -> Array.map (fun c -> c row) cps) filtered
+      Vec.map (fun row -> Array.map (fun c -> c row) cps) filtered
     end
     else begin
       (* grouped path; an aggregate query without GROUP BY is a single group *)
-      let pool = env.pool in
       let kcs = Array.of_list (List.map (compile_expr env source.vh) group_by) in
-      let nfiltered = Vec.length filtered in
       let in_order : Value.t array Vec.t Vec.t = Vec.create () in
       (if Array.length kcs = 0 then
          (* no GROUP BY: every row (possibly none) forms the single group *)
          Vec.push in_order filtered
-       else if Parallel.parallel_worthy pool nfiltered then begin
-         (* parallel grouping: evaluate keys in parallel, hash-partition row
-            indices (each partition keeps its indices in ascending order),
-            group every partition independently, then restore the sequential
-            group order by sorting on each group's first row index. Rows
-            enter their group in ascending row order, so per-group aggregate
-            evaluation order — and with it float SUM/AVG results — is
-            exactly the sequential one. *)
-         let keyfn =
-           if Array.length kcs = 1 then begin
-             let kc = kcs.(0) in
-             fun row -> [| kc row |]
-           end
-           else fun row -> Array.map (fun c -> c row) kcs
-         in
-         let keys = Parallel.map_to_array ?pool ~dummy:[||] keyfn filtered in
-         let parts = Parallel.partition_count pool in
-         let mask = parts - 1 in
-         let pidx =
-           Parallel.partition ?pool ~partitions:parts
-             (fun i -> Row_table.Key.hash keys.(i) land mask)
-             nfiltered
-         in
-         let per_part = Array.make parts [||] in
-         Parallel.tasks pool ~n:parts (fun p ->
-             let acc = Vec.create () in
-             let groups : Value.t array Vec.t Row_table.t = Row_table.create 64 in
-             Vec.iter
-               (fun i ->
-                 let row = Vec.unsafe_get filtered i in
-                 match Row_table.find_opt groups keys.(i) with
-                 | Some cell -> Vec.push cell row
-                 | None ->
-                   let cell = Vec.create () in
-                   Vec.push cell row;
-                   Row_table.replace groups keys.(i) cell;
-                   Vec.push acc (i, cell))
-               pidx.(p);
-             per_part.(p) <- Vec.to_array acc);
-         let all = Array.concat (Array.to_list per_part) in
-         (* first-occurrence row indices are distinct, so a plain sort fully
-            determines the group order *)
-         Array.sort (fun (a, _) (b, _) -> compare (a : int) b) all;
-         Array.iter (fun ((_ : int), cell) -> Vec.push in_order cell) all
-       end
        else if Array.length kcs = 1 then begin
          (* single grouping key: scalar-keyed table, no per-row key array *)
          let kc = kcs.(0) in
@@ -771,62 +587,31 @@ and select_tail env (source : vrel) ~(on_where : (int -> unit) option)
                Vec.push in_order cell)
            filtered
        end);
-      (* [compute_slot sl grows n]: one aggregate over one group. A single
-         huge group (aggregation without GROUP BY) parallelises inside the
-         aggregate via per-chunk partial states — only for aggregates whose
-         merge is exact ({!Aggregate.mergeable}); the merge itself reports
-         failure (a float reached SUM) and recomputes sequentially. *)
+      (* [compute_slot sl grows n]: one aggregate over one group, streaming
+         argument values straight out of the group *)
       let compute_slot (sl : Compiled.agg_slot) (grows : Value.t array Vec.t) n =
         match sl.Compiled.arg with
         | None ->
           Aggregate.compute sl.Compiled.func ~distinct:sl.Compiled.distinct
             ~star:sl.Compiled.star ~nrows:n []
         | Some c ->
-          (* stream argument values straight out of the group *)
-          let sequential () =
-            Aggregate.compute_iter sl.Compiled.func ~distinct:sl.Compiled.distinct
-              ~star:sl.Compiled.star ~nrows:n
-              ~iter:(fun f -> Vec.iter (fun row -> f (c row)) grows)
-          in
-          if
-            not
-              (Aggregate.mergeable sl.Compiled.func ~distinct:sl.Compiled.distinct
-                 ~star:sl.Compiled.star)
-          then sequential ()
-          else begin
-            match
-              Parallel.gather pool n (fun lo hi ->
-                  let st = Aggregate.Partial.create sl.Compiled.func in
-                  for i = lo to hi - 1 do
-                    Aggregate.Partial.add st (c (Vec.unsafe_get grows i))
-                  done;
-                  st)
-            with
-            | None -> sequential ()
-            | Some parts -> (
-              match Aggregate.Partial.merge parts with
-              | Some v -> v
-              | None -> sequential ())
-          end
+          Aggregate.compute_iter sl.Compiled.func ~distinct:sl.Compiled.distinct
+            ~star:sl.Compiled.star ~nrows:n
+            ~iter:(fun f -> Vec.iter (fun row -> f (c row)) grows)
       in
       let src_width = Array.length source.vh in
-      let ngroups = Vec.length in_order in
-      (* HAVING and projections compiled once per chunk of groups: aggregate
-         results flow through {!Compiled.agg_slots} — shared mutable state
-         (set_group + Lazy.force) — so each parallel chunk needs its own
-         compiled copy. Compilation is cheap next to evaluating even one
-         group; the sequential path compiles exactly once, as before. *)
-      let finalize lo hi =
-        let slots = Compiled.make_slots () in
-        let chaving = Option.map (compile_expr env source.vh ~agg:slots) having in
-        let cps =
-          Array.of_list
-            (List.map (fun (e, _) -> compile_expr env source.vh ~agg:slots e) projections)
-        in
-        let slot_list = Array.of_list (Compiled.slots slots) in
-        let out = Vec.create () in
-        for g = lo to hi - 1 do
-          let grows = Vec.unsafe_get in_order g in
+      (* HAVING and projections compiled once; aggregate results flow
+         through {!Compiled.agg_slots}, set per group *)
+      let slots = Compiled.make_slots () in
+      let chaving = Option.map (compile_expr env source.vh ~agg:slots) having in
+      let cps =
+        Array.of_list
+          (List.map (fun (e, _) -> compile_expr env source.vh ~agg:slots e) projections)
+      in
+      let slot_list = Array.of_list (Compiled.slots slots) in
+      let out = Vec.create () in
+      Vec.iter
+        (fun grows ->
           let n = Vec.length grows in
           let representative =
             if n > 0 then Vec.unsafe_get grows 0 else Array.make src_width Value.Null
@@ -842,13 +627,9 @@ and select_tail env (source : vrel) ~(on_where : (int -> unit) option)
           let keep =
             match chaving with None -> true | Some c -> Eval.is_truthy (c representative)
           in
-          if keep then Vec.push out (Array.map (fun c -> c representative) cps)
-        done;
-        out
-      in
-      match Parallel.gather pool ngroups finalize with
-      | None -> finalize 0 ngroups
-      | Some parts -> Vec.concat parts
+          if keep then Vec.push out (Array.map (fun c -> c representative) cps))
+        in_order;
+      out
     end
   in
   let rows = if distinct then Row_table.dedupe_rows rows else rows in
@@ -937,7 +718,7 @@ and sort_slice env (r : vrel) ~(order_by : (Ast.expr * Ast.order_dir) list)
   let r =
     if order_by = [] then r
     else begin
-      (* decorate-sort-undecorate with order keys precomputed (in parallel)
+      (* decorate-sort-undecorate with order keys precomputed
          through compiled expressions into per-key columns, then classified
          into typed arrays ({!Key_sort}) so comparisons run over unboxed
          ints/floats/strings. Sorting permutes indices, with the original
@@ -961,7 +742,7 @@ and sort_slice env (r : vrel) ~(order_by : (Ast.expr * Ast.order_dir) list)
         Array.map
           (fun f ->
             Key_sort.compare_fn
-              (Key_sort.of_values (Parallel.map_to_array ?pool:env.pool ~dummy:Value.Null f r.vr)))
+              (Key_sort.of_values (Array.init n (fun i -> f (Vec.unsafe_get r.vr i)))))
           keyfns
       in
       let cmp a b =
@@ -1036,7 +817,7 @@ and eval_rel env ~prune ~path (r : Plan.rel) : vrel =
         let i = eval_rel env ~prune ~path:(Plan.Analyze.input_path path) input in
         rows_in := Vec.length i.vr;
         let cp = compile_expr env i.vh pred in
-        { i with vr = Parallel.filter ?pool:env.pool (fun row -> Eval.is_truthy (cp row)) i.vr })
+        { i with vr = Vec.filter (fun row -> Eval.is_truthy (cp row)) i.vr })
   | Plan.Join { kind; cond; build_left; left; right } ->
     traced env ~path (fun () ->
         let l = eval_rel env ~prune ~path:(Plan.Analyze.left_path path) left in

@@ -39,12 +39,13 @@ val columnar_fallbacks : unit -> int
     Subqueries always run a correlated scope, so they never count. *)
 
 val run_plan : ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set
-(** Execute a logical plan. [?pool] enables the morsel-parallel operators
-    ({!Parallel}): scan, filter and projection over row morsels, partitioned
-    parallel hash-join builds with parallel probes, and parallel GROUP BY.
-    Results are bit-identical to a sequential run — every parallel operator
-    preserves row order and evaluation order (enforced by the differential
-    suite); inputs below {!Parallel.threshold} rows run sequentially.
+(** Execute a logical plan. [?pool] is handed to the {!Columnar} engine,
+    whose selection, join-probe and materialisation kernels split large
+    inputs into morsels across it ({!Parallel.gather}); the row pipeline
+    that runs what the columnar engine declines is sequential. Results are
+    bit-identical to a run without a pool — every kernel preserves row
+    order and evaluation order (enforced by the differential suite);
+    inputs below {!Parallel.threshold} rows run sequentially.
     Optimized plans ({!Optimizer.rewrite}) may permute row order relative to
     {!Plan.of_query} (hash-join build-side swaps and join reorder follow the
     probe relation's order), so the two compare as multisets.

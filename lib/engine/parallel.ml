@@ -1,24 +1,20 @@
-(* Morsel-driven parallel operators over {!Row_vec}, the building blocks the
-   executor composes into parallel scan/filter/project, partitioned hash
-   joins and parallel grouping.
+(* Morsel dispatch for the columnar engine's data-parallel kernels:
+   predicate selection, hash-join probes and output-row materialisation.
 
-   Every operator takes an optional {!Task_pool.t}; with no pool, a pool
-   that has been shut down, or an input below [threshold] rows, it runs the
-   plain sequential loop, so the sequential and parallel pipelines are the
-   same code path below the cutover. Parallel results are reassembled in
-   chunk order, which makes every operator order-preserving: the parallel
-   pipeline must return bit-identical results to the sequential one (the
-   3-way differential suite enforces this), so no operator is allowed to
-   trade determinism for speed.
+   [gather] takes an optional {!Task_pool.t}; with no pool, a pool that has
+   been shut down, or an input below [threshold] rows, it returns [None]
+   and the caller runs its plain sequential loop, so the sequential and
+   parallel paths are the same code below the cutover. Chunk results come
+   back in chunk order, which lets every caller reassemble them
+   order-preservingly: the parallel run must return bit-identical results
+   to the sequential one (the differential suites enforce this), so no
+   kernel may trade determinism for speed.
 
    Chunk functions receive disjoint index ranges and write only chunk-local
    state (or disjoint slots of a shared result array), which is the whole
    synchronization story: the pool's join provides the happens-before edge
-   that publishes worker writes to the caller. *)
-
-module Vec = Row_vec
-
-type row = Value.t array
+   that publishes worker writes to the caller. The row pipeline in
+   {!Executor} is sequential and never dispatches. *)
 
 (* Inputs below this many rows run sequentially: at (sub-)thousands of rows
    the fork/join handshake costs more than the scan. Mutable so tests and
@@ -31,10 +27,9 @@ let threshold = ref 2048
    [threshold]: inputs small enough to fit one morsel never split. *)
 let morsel = ref 1024
 
-(* Lifetime dispatch counters for the telemetry surface: how many operator
+(* Lifetime dispatch counters for the telemetry surface: how many kernel
    invocations actually split across domains vs. ran the sequential loop.
-   Counted in [gather] — the one dispatch point every data-parallel operator
-   funnels through — so probing [parallel_worthy] costs nothing. *)
+   Counted in [gather], the one dispatch point. *)
 let parallel_ops = Atomic.make 0
 let sequential_ops = Atomic.make 0
 let ops_counts () = (Atomic.get parallel_ops, Atomic.get sequential_ops)
@@ -43,8 +38,8 @@ let ops_counts () = (Atomic.get parallel_ops, Atomic.get sequential_ops)
    domains than the host has cores (service configs are written for target
    hardware, not the machine they land on); dispatching across them then
    buys no parallelism and pays full coordination cost — the BENCH_parallel
-   regressions on a 1-CPU host. Operators therefore cap their effective
-   width at the host width and fall back to the sequential loop when the
+   regressions on a 1-CPU host. Dispatch therefore caps its effective
+   width at the host width and falls back to the sequential loop when the
    cap leaves a single worker. Mutable so tests and smoke benches can
    simulate wider hosts. *)
 let host_cpus = ref (Domain.recommended_domain_count ())
@@ -67,8 +62,6 @@ let chunk_count pool n =
       if c <= 1 then 0 else c
     end
 
-let parallel_worthy pool n = chunk_count pool n > 0
-
 (* [gather pool n f]: run [f lo hi] over the chunk ranges of [0, n) and
    return the per-chunk results in chunk order, or [None] when the input
    should run sequentially. *)
@@ -87,84 +80,3 @@ let gather pool n (f : int -> int -> 'a) : 'a array option =
         results.(i) <- Some (f lo hi));
     Some (Array.map (function Some r -> r | None -> assert false) results)
   end
-
-(* [tasks pool ~n f]: run [f 0 .. f (n-1)] on the pool (or inline); used
-   for per-partition phases where each task owns one partition. *)
-let tasks pool ~n (f : int -> unit) =
-  match pool with
-  | Some p when Task_pool.is_parallel p && effective_domains pool > 1 ->
-    Task_pool.run p ~chunks:n f
-  | _ ->
-    for i = 0 to n - 1 do
-      f i
-    done
-
-let map ?pool (f : row -> row) (v : row Vec.t) : row Vec.t =
-  let n = Vec.length v in
-  match
-    gather pool n (fun lo hi ->
-        Array.init (hi - lo) (fun k -> f (Vec.unsafe_get v (lo + k))))
-  with
-  | None -> Vec.map f v
-  | Some parts -> Vec.of_arrays parts
-
-let filter ?pool (p : row -> bool) (v : row Vec.t) : row Vec.t =
-  let n = Vec.length v in
-  match
-    gather pool n (fun lo hi ->
-        let out = Vec.create () in
-        for i = lo to hi - 1 do
-          let x = Vec.unsafe_get v i in
-          if p x then Vec.push out x
-        done;
-        out)
-  with
-  | None -> Vec.filter p v
-  | Some parts -> Vec.concat parts
-
-let map_to_array ?pool ~(dummy : 'b) (f : row -> 'b) (v : row Vec.t) : 'b array =
-  let n = Vec.length v in
-  let out = Array.make n dummy in
-  let fill lo hi =
-    for i = lo to hi - 1 do
-      out.(i) <- f (Vec.unsafe_get v i)
-    done
-  in
-  (match gather pool n fill with
-  | None -> fill 0 n
-  | Some (_ : unit array) -> ());
-  out
-
-(* Number of hash partitions for partitioned joins/grouping: a few per
-   domain so partition skew still balances, always a power of two so the
-   partition of a hash is a mask. *)
-let partition_count pool =
-  let d = match pool with Some p -> Task_pool.domains p | None -> 1 in
-  let rec pow2 c = if c >= 4 * d then c else pow2 (2 * c) in
-  min 64 (pow2 4)
-
-(* [partition ?pool ~partitions pf n]: split row indices [0, n) into
-   [partitions] index vectors by [pf] (pure). Each output vector lists its
-   indices in ascending order — chunk outputs are merged in chunk order —
-   so downstream per-partition scans see rows in original row order and
-   build bit-identical hash tables to a sequential build. *)
-let partition ?pool ~partitions (pf : int -> int) n : int Vec.t array =
-  match
-    gather pool n (fun lo hi ->
-        let parts = Array.init partitions (fun _ -> Vec.create ()) in
-        for i = lo to hi - 1 do
-          Vec.push parts.(pf i) i
-        done;
-        parts)
-  with
-  | None ->
-    let parts = Array.init partitions (fun _ -> Vec.create ()) in
-    for i = 0 to n - 1 do
-      Vec.push parts.(pf i) i
-    done;
-    parts
-  | Some chunked ->
-    let out = Array.make partitions (Vec.create ()) in
-    tasks pool ~n:partitions (fun p ->
-        out.(p) <- Vec.concat (Array.map (fun cp -> cp.(p)) chunked));
-    out

@@ -1,16 +1,14 @@
-(** Morsel-driven parallel operators over {!Row_vec}.
+(** Morsel dispatch for the {!Columnar} engine's data-parallel kernels.
 
-    Every operator runs sequentially when [pool] is absent, shut down, or
-    the input is below {!threshold} rows — the sequential fallback is the
-    very loop the sequential pipeline runs. All operators are
-    order-preserving (chunk outputs reassembled in chunk order), so the
-    parallel pipeline returns bit-identical results to the sequential one.
-    Callbacks must be safe to call concurrently from several domains on
-    disjoint rows (compiled expressions are: they only read the row, and
-    subquery evaluation inside a callback degrades to sequential through
-    the pool's nested-submission rule). *)
-
-type row = Value.t array
+    {!gather} is the engine's one dispatch point: it splits an input of [n]
+    rows into chunk ranges and runs them on a {!Task_pool}, or tells the
+    caller to run its own sequential loop when the pool is absent, shut
+    down, no wider than one effective worker, or the input is below
+    {!threshold} rows. Chunk results come back in chunk order, so a caller
+    that reassembles them in that order returns bit-identical results to
+    its sequential loop. Chunk functions must be safe to call concurrently
+    from several domains on disjoint ranges. The row pipeline
+    ({!Executor}) is sequential and never dispatches. *)
 
 val threshold : int ref
 (** Inputs below this many rows run sequentially (default 2048). Mutable so
@@ -23,49 +21,21 @@ val morsel : int ref
 
 val host_cpus : int ref
 (** CPUs available to this process ([Domain.recommended_domain_count] at
-    startup). Operators cap their effective width at
-    [min (Task_pool.domains pool) host_cpus] and run sequentially when that
+    startup). Dispatch caps its effective width at
+    [min (Task_pool.domains pool) host_cpus] and runs sequentially when that
     leaves one worker — a pool wider than the host buys no parallelism but
     pays full coordination cost. Mutable so tests can simulate wider
     hosts. *)
 
 val effective_domains : Task_pool.t option -> int
 (** The capped worker count dispatch decisions use; [1] means every
-    operator falls back to its sequential loop. *)
-
-val parallel_worthy : Task_pool.t option -> int -> bool
-(** Whether an [n]-row input would actually be split across domains. *)
+    kernel falls back to its sequential loop. *)
 
 val ops_counts : unit -> int * int
-(** Lifetime [(parallel, sequential)] operator-dispatch counts across the
-    process (counted at {!gather}), for the telemetry surface. *)
+(** Lifetime [(parallel, sequential)] dispatch counts across the process
+    (counted at {!gather}), for the telemetry surface. *)
 
 val gather : Task_pool.t option -> int -> (int -> int -> 'a) -> 'a array option
 (** [gather pool n f] runs [f lo hi] over chunk ranges covering [0, n) and
     returns per-chunk results in chunk order; [None] means "run it
     sequentially yourself" (no pool, or below threshold). *)
-
-val tasks : Task_pool.t option -> n:int -> (int -> unit) -> unit
-(** Run [n] independent tasks on the pool (inline without one); used for
-    per-partition build phases. *)
-
-val map : ?pool:Task_pool.t -> (row -> row) -> row Row_vec.t -> row Row_vec.t
-(** Order-preserving parallel projection. *)
-
-val filter : ?pool:Task_pool.t -> (row -> bool) -> row Row_vec.t -> row Row_vec.t
-(** Order-preserving parallel selection. *)
-
-val map_to_array : ?pool:Task_pool.t -> dummy:'b -> (row -> 'b) -> row Row_vec.t -> 'b array
-(** Evaluate a key function over every row into a positional array (sort
-    keys, grouping keys); [dummy] fills the allocation before the parallel
-    writes land. *)
-
-val partition_count : Task_pool.t option -> int
-(** Hash-partition fan-out for partitioned joins/grouping: a power of two,
-    a few partitions per domain, capped at 64. *)
-
-val partition :
-  ?pool:Task_pool.t -> partitions:int -> (int -> int) -> int -> int Row_vec.t array
-(** [partition ~partitions pf n] splits row indices [0, n) by [pf] (pure);
-    each partition lists its indices in ascending order, so per-partition
-    scans see rows in original order. *)

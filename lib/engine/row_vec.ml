@@ -71,28 +71,11 @@ let fold_left f acc v =
   iter (fun x -> acc := f !acc x) v;
   !acc
 
-(* Exact-size concatenation of per-chunk results, used by the parallel
-   operators to reassemble morsel outputs in chunk order. *)
-let concat (parts : 'a t array) : 'a t =
-  let total = Array.fold_left (fun acc p -> acc + p.len) 0 parts in
-  if total = 0 then create ()
-  else begin
-    let first =
-      let rec go i = if parts.(i).len > 0 then parts.(i).data.(0) else go (i + 1) in
-      go 0
-    in
-    let data = Array.make total first in
-    let off = ref 0 in
-    Array.iter
-      (fun p ->
-        Array.blit p.data 0 data !off p.len;
-        off := !off + p.len)
-      parts;
-    { data; len = total }
-  end
-
+(* Exact-size concatenation of per-chunk arrays in chunk order, used to
+   reassemble the columnar engine's morsel outputs. *)
 let of_arrays (parts : 'a array array) : 'a t =
-  concat (Array.map (fun a -> { data = a; len = Array.length a }) parts)
+  let data = Array.concat (Array.to_list parts) in
+  { data; len = Array.length data }
 
 (* [slice v ~offset ~limit] clamps both bounds, so any combination of
    LIMIT/OFFSET (including out-of-range or negative) is safe — this subsumes

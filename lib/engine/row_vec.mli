@@ -27,12 +27,9 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val filter : ('a -> bool) -> 'a t -> 'a t
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
-val concat : 'a t array -> 'a t
-(** Exact-size concatenation in array order; used to reassemble per-morsel
-    outputs of the parallel operators. *)
-
 val of_arrays : 'a array array -> 'a t
-(** [concat] over plain arrays. *)
+(** Exact-size concatenation in array order; used to reassemble per-morsel
+    outputs of the columnar engine's parallel kernels. *)
 
 val slice : 'a t -> offset:int -> limit:int option -> 'a t
 (** Clamped slice: safe for any LIMIT/OFFSET combination, replacing the old

@@ -299,8 +299,10 @@ let register_collectors t reg =
           ([ ("mode", "parallel") ], float_of_int s.jobs);
           ([ ("mode", "inline") ], float_of_int s.inline_jobs);
         ]);
-  Registry.collect reg ~help:"Engine operator dispatches (process-global)" ~kind:`Counter
-    "flex_engine_ops_total" (fun () ->
+  Registry.collect reg
+    ~help:"Columnar engine morsel dispatches, split across the pool or run sequentially \
+           (process-global)"
+    ~kind:`Counter "flex_engine_ops_total" (fun () ->
       let par, seq = Flex_engine.Parallel.ops_counts () in
       [
         ([ ("mode", "parallel") ], float_of_int par);

@@ -2,7 +2,16 @@
 
 exception Error of { message : string; line : int; col : int }
 
-type p = { toks : Token.spanned array; mutable i : int }
+(* [depth] counts the levels open above the token being parsed: nested
+   expressions, subqueries, derived and parenthesised tables, and every link
+   of a left-deep chain (arithmetic, joins, set operations). [peak] is the
+   deepest level reached so far, from which a chain measures how tall each
+   operand it has just parsed is. *)
+type p = { toks : Token.spanned array; mutable i : int; mutable depth : int; mutable peak : int }
+
+let max_depth = 256
+
+let create toks = { toks; i = 0; depth = 0; peak = 0 }
 
 let peek p = p.toks.(p.i).Token.tok
 
@@ -53,23 +62,82 @@ let try_alias p ~allow_bare =
     | _ -> None
   else None
 
+(* Hostile nesting must cost time linear in its length and never exhaust
+   the stack, and every later pass (factoring, canonicalisation, planning,
+   printing) recurses over the tree, so a statement deeper than [max_depth]
+   is refused the moment the parser opens its first level too many. *)
+let too_deep p = fail p "statement nests deeper than %d levels" max_depth
+
+let enter p =
+  let d = p.depth + 1 in
+  if d > max_depth then too_deep p;
+  p.depth <- d;
+  if d > p.peak then p.peak <- d
+
+let leave p = p.depth <- p.depth - 1
+
+(* [chain_start p f] parses the first operand of a left-deep chain and
+   returns it with its height in levels. *)
+let chain_start p f =
+  let saved = p.peak in
+  p.peak <- p.depth;
+  let x = f p in
+  let h = p.peak - p.depth in
+  if saved > p.peak then p.peak <- saved;
+  (x, h)
+
+(* [chain_link p h f] parses the next operand of a chain whose height so far
+   is [!h]. The link's node sits above both the chain built so far and the
+   new operand, so a chain of [n] links is [n] levels tall however its
+   operands nest; each link is checked as it is read. *)
+let chain_link p h f =
+  let x, hx = chain_start p f in
+  h := 1 + max !h hx;
+  let top = p.depth + !h in
+  if top > max_depth then too_deep p;
+  if top > p.peak then p.peak <- top;
+  x
+
 let is_query_start p =
   match peek p with Token.KW ("SELECT" | "WITH") -> true | _ -> false
 
 (* --- expressions ------------------------------------------------------- *)
 
-let rec parse_expr p = parse_or p
+let rec parse_expr p =
+  enter p;
+  let e = parse_or p in
+  leave p;
+  e
 
+(* AND and OR chains nest to the right, one level per link *)
 and parse_or p =
   let lhs = parse_and p in
-  if eat_kw p "OR" then Ast.Binop (Ast.Or, lhs, parse_or p) else lhs
+  if eat_kw p "OR" then begin
+    enter p;
+    let rhs = parse_or p in
+    leave p;
+    Ast.Binop (Ast.Or, lhs, rhs)
+  end
+  else lhs
 
 and parse_and p =
   let lhs = parse_not p in
-  if eat_kw p "AND" then Ast.Binop (Ast.And, lhs, parse_and p) else lhs
+  if eat_kw p "AND" then begin
+    enter p;
+    let rhs = parse_and p in
+    leave p;
+    Ast.Binop (Ast.And, lhs, rhs)
+  end
+  else lhs
 
 and parse_not p =
-  if eat_kw p "NOT" then Ast.Unop (Ast.Not, parse_not p) else parse_comparison p
+  if eat_kw p "NOT" then begin
+    enter p;
+    let e = parse_not p in
+    leave p;
+    Ast.Unop (Ast.Not, e)
+  end
+  else parse_comparison p
 
 and parse_comparison p =
   let lhs = parse_additive p in
@@ -137,45 +205,49 @@ and parse_between p ~negated subject =
   Ast.Between { subject; negated; lo; hi }
 
 and parse_additive p =
+  let first, h = chain_start p parse_multiplicative in
+  let h = ref h in
   let rec go lhs =
     match peek p with
     | Token.PLUS ->
       advance p;
-      go (Ast.Binop (Ast.Add, lhs, parse_multiplicative p))
+      go (Ast.Binop (Ast.Add, lhs, chain_link p h parse_multiplicative))
     | Token.MINUS ->
       advance p;
-      go (Ast.Binop (Ast.Sub, lhs, parse_multiplicative p))
+      go (Ast.Binop (Ast.Sub, lhs, chain_link p h parse_multiplicative))
     | Token.CONCAT_OP ->
       advance p;
-      go (Ast.Binop (Ast.Concat, lhs, parse_multiplicative p))
+      go (Ast.Binop (Ast.Concat, lhs, chain_link p h parse_multiplicative))
     | _ -> lhs
   in
-  go (parse_multiplicative p)
+  go first
 
 and parse_multiplicative p =
+  let first, h = chain_start p parse_unary in
+  let h = ref h in
   let rec go lhs =
     match peek p with
     | Token.STAR ->
       advance p;
-      go (Ast.Binop (Ast.Mul, lhs, parse_unary p))
+      go (Ast.Binop (Ast.Mul, lhs, chain_link p h parse_unary))
     | Token.SLASH ->
       advance p;
-      go (Ast.Binop (Ast.Div, lhs, parse_unary p))
+      go (Ast.Binop (Ast.Div, lhs, chain_link p h parse_unary))
     | Token.PERCENT ->
       advance p;
-      go (Ast.Binop (Ast.Mod, lhs, parse_unary p))
+      go (Ast.Binop (Ast.Mod, lhs, chain_link p h parse_unary))
     | _ -> lhs
   in
-  go (parse_unary p)
+  go first
 
 and parse_unary p =
   match peek p with
-  | Token.MINUS ->
+  | (Token.MINUS | Token.PLUS) as sign ->
     advance p;
-    Ast.Unop (Ast.Neg, parse_unary p)
-  | Token.PLUS ->
-    advance p;
-    parse_unary p
+    enter p;
+    let e = parse_unary p in
+    leave p;
+    if sign = Token.MINUS then Ast.Unop (Ast.Neg, e) else e
   | _ -> parse_primary p
 
 and parse_primary p =
@@ -305,41 +377,48 @@ and parse_call p name =
 (* --- table references --------------------------------------------------- *)
 
 and parse_table_ref p =
+  let first, h = chain_start p parse_table_primary in
+  let h = ref h in
   let rec joins lhs =
     match peek p with
     | Token.KW "CROSS" ->
       advance p;
       expect_kw p "JOIN";
-      let rhs = parse_table_primary p in
+      let rhs = chain_link p h parse_table_primary in
       joins (Ast.Join { kind = Ast.Cross; left = lhs; right = rhs; cond = Ast.Cond_none })
     | Token.KW "NATURAL" ->
       advance p;
       let kind = parse_join_kind p in
       expect_kw p "JOIN";
-      let rhs = parse_table_primary p in
+      let rhs = chain_link p h parse_table_primary in
       joins (Ast.Join { kind; left = lhs; right = rhs; cond = Ast.Natural })
     | Token.KW ("JOIN" | "INNER" | "LEFT" | "RIGHT" | "FULL") ->
       let kind = parse_join_kind p in
       expect_kw p "JOIN";
-      let rhs = parse_table_primary p in
-      let cond =
-        if eat_kw p "ON" then Ast.On (parse_expr p)
-        else if eat_kw p "USING" then begin
-          expect p Token.LPAREN;
-          let rec cols acc =
-            let c = expect_ident p in
-            if eat p Token.COMMA then cols (c :: acc) else List.rev (c :: acc)
-          in
-          let cols = cols [] in
-          expect p Token.RPAREN;
-          Ast.Using cols
-        end
-        else Ast.Cond_none
+      (* the ON condition sits beside the right operand, one link down *)
+      let rhs, cond =
+        chain_link p h (fun p ->
+            let rhs = parse_table_primary p in
+            let cond =
+              if eat_kw p "ON" then Ast.On (parse_expr p)
+              else if eat_kw p "USING" then begin
+                expect p Token.LPAREN;
+                let rec cols acc =
+                  let c = expect_ident p in
+                  if eat p Token.COMMA then cols (c :: acc) else List.rev (c :: acc)
+                in
+                let cols = cols [] in
+                expect p Token.RPAREN;
+                Ast.Using cols
+              end
+              else Ast.Cond_none
+            in
+            (rhs, cond))
       in
       joins (Ast.Join { kind; left = lhs; right = rhs; cond })
     | _ -> lhs
   in
-  joins (parse_table_primary p)
+  joins first
 
 and parse_join_kind p =
   match peek p with
@@ -373,7 +452,9 @@ and parse_table_primary p =
       Ast.Derived { query = q; alias }
     end
     else begin
+      enter p;
       let r = parse_table_ref p in
+      leave p;
       expect p Token.RPAREN;
       r
     end
@@ -445,41 +526,47 @@ and parse_select p =
 and parse_body_core p =
   if peek p = Token.LPAREN then begin
     advance p;
+    enter p;
     let b = parse_body p in
+    leave p;
     expect p Token.RPAREN;
     b
   end
   else Ast.Select (parse_select p)
 
 and parse_intersect p =
+  let first, h = chain_start p parse_body_core in
+  let h = ref h in
   let rec go lhs =
     if eat_kw p "INTERSECT" then begin
       let all = eat_kw p "ALL" in
       ignore (eat_kw p "DISTINCT");
-      let rhs = parse_body_core p in
+      let rhs = chain_link p h parse_body_core in
       go (Ast.Intersect { all; left = lhs; right = rhs })
     end
     else lhs
   in
-  go (parse_body_core p)
+  go first
 
 and parse_body p =
+  let first, h = chain_start p parse_intersect in
+  let h = ref h in
   let rec go lhs =
     match peek p with
     | Token.KW "UNION" ->
       advance p;
       let all = eat_kw p "ALL" in
       ignore (eat_kw p "DISTINCT");
-      let rhs = parse_intersect p in
+      let rhs = chain_link p h parse_intersect in
       go (Ast.Union { all; left = lhs; right = rhs })
     | Token.KW ("EXCEPT" | "MINUS") ->
       advance p;
       let all = eat_kw p "ALL" in
-      let rhs = parse_intersect p in
+      let rhs = chain_link p h parse_intersect in
       go (Ast.Except { all; left = lhs; right = rhs })
     | _ -> lhs
   in
-  go (parse_intersect p)
+  go first
 
 (* --- full queries -------------------------------------------------------- *)
 
@@ -505,6 +592,7 @@ and parse_cte p =
   { Ast.cte_name; cte_columns; cte_query }
 
 and parse_query p =
+  enter p;
   let ctes =
     if eat_kw p "WITH" then begin
       let rec go acc =
@@ -543,6 +631,7 @@ and parse_query p =
   in
   let limit = if eat_kw p "LIMIT" then Some (expect_int ()) else None in
   let offset = if eat_kw p "OFFSET" then Some (expect_int ()) else None in
+  leave p;
   { Ast.ctes; body; order_by; limit; offset }
 
 (* --- entry points -------------------------------------------------------- *)
@@ -552,7 +641,7 @@ let parse_exn src =
     try Lexer.tokenize src
     with Lexer.Error { message; line; col } -> raise (Error { message; line; col })
   in
-  let p = { toks; i = 0 } in
+  let p = create toks in
   let q = parse_query p in
   (* servers receive statements as typed: [SELECT ...;], [SELECT ...;;] —
      swallow any run of trailing semicolons (whitespace and comments are
@@ -570,7 +659,7 @@ let parse_statement_exn src =
     try Lexer.tokenize src
     with Lexer.Error { message; line; col } -> raise (Error { message; line; col })
   in
-  let p = { toks; i = 0 } in
+  let p = create toks in
   let explain = eat_kw p "EXPLAIN" in
   (* ANALYZE is not a reserved word (it stays a valid column or table name),
      so after EXPLAIN it is matched as an identifier, case-insensitively —
@@ -610,7 +699,7 @@ let parse_expr_exn src =
     try Lexer.tokenize src
     with Lexer.Error { message; line; col } -> raise (Error { message; line; col })
   in
-  let p = { toks; i = 0 } in
+  let p = create toks in
   let e = parse_expr p in
   (match peek p with
   | Token.EOF -> ()

@@ -1098,3 +1098,95 @@ let edge_expectation_tests =
   ]
 
 let suites = suites @ [ ("executor-edge-cases", edge_expectation_tests) ]
+
+(* --- row vectors and aggregates of the sequential row pipeline (appended) -- *)
+
+module Vec = Flex_engine.Row_vec
+
+let row_vec_tests =
+  [
+    Alcotest.test_case "map/filter preserve order and content" `Quick (fun () ->
+        let l = List.init 100 Fun.id in
+        let v = Vec.of_list l in
+        Alcotest.(check (list int)) "map" (List.map (fun i -> 2 * i) l)
+          (Vec.to_list (Vec.map (fun i -> 2 * i) v));
+        Alcotest.(check (list int)) "filter"
+          (List.filter (fun i -> i mod 3 = 0) l)
+          (Vec.to_list (Vec.filter (fun i -> i mod 3 = 0) v));
+        Alcotest.(check (list int)) "filter to nothing" []
+          (Vec.to_list (Vec.filter (fun _ -> false) v));
+        Alcotest.(check (list int)) "input untouched" l (Vec.to_list v));
+    Alcotest.test_case "concatenation and slices keep order" `Quick (fun () ->
+        Alcotest.(check (list int)) "of_arrays in array order" (List.init 7 Fun.id)
+          (Vec.to_list (Vec.of_arrays [| [| 0; 1; 2 |]; [||]; [| 3 |]; [| 4; 5; 6 |] |]));
+        let src = Array.init 20 Fun.id in
+        let v = Vec.of_array src in
+        src.(0) <- 99;
+        Alcotest.(check int) "of_array copies" 0 (Vec.get v 0);
+        Alcotest.(check (list int)) "slice" [ 10; 11; 12 ]
+          (Vec.to_list (Vec.slice v ~offset:10 ~limit:(Some 3)));
+        Alcotest.(check (list int)) "limit past the end" [ 18; 19 ]
+          (Vec.to_list (Vec.slice v ~offset:18 ~limit:(Some 5)));
+        Alcotest.(check (list int)) "offset past the end" []
+          (Vec.to_list (Vec.slice v ~offset:200 ~limit:None)));
+  ]
+
+let aggregate_tests =
+  let ints lo hi = List.init (hi - lo + 1) (fun i -> Value.Int (lo + i)) in
+  let agg ?(distinct = false) ?(star = false) func vals =
+    Aggregate.compute func ~distinct ~star ~nrows:(List.length vals) vals
+  in
+  [
+    Alcotest.test_case "NULLs are skipped, empty groups are NULL or 0" `Quick (fun () ->
+        let all = ints 1 100 @ [ Value.Null ] in
+        let check name expected got = Alcotest.(check bool) name true (got = expected) in
+        check "COUNT" (Value.Int 100) (agg Ast.Count all);
+        check "COUNT(*)" (Value.Int 101) (agg ~star:true Ast.Count all);
+        check "SUM" (Value.Int 5050) (agg Ast.Sum all);
+        check "MIN" (Value.Int 1) (agg Ast.Min all);
+        check "MAX" (Value.Int 100) (agg Ast.Max all);
+        check "COUNT DISTINCT" (Value.Int 2)
+          (agg ~distinct:true Ast.Count [ Value.Int 1; Value.Int 1; Value.Int 2; Value.Null ]);
+        check "SUM with a float" (Value.Float 6.5) (agg Ast.Sum (ints 1 3 @ [ Value.Float 0.5 ]));
+        check "empty COUNT is 0" (Value.Int 0) (agg Ast.Count []);
+        check "all-NULL COUNT is 0" (Value.Int 0) (agg Ast.Count [ Value.Null ]);
+        List.iter
+          (fun f -> check ("empty " ^ Ast.agg_func_name f ^ " is NULL") Value.Null (agg f []))
+          [ Ast.Sum; Ast.Avg; Ast.Min; Ast.Max; Ast.Median; Ast.Stddev ]);
+    Alcotest.test_case "streaming compute matches the list compute" `Quick (fun () ->
+        let inputs =
+          [
+            [];
+            [ Value.Null ];
+            ints 1 10 @ [ Value.Null; Value.Int 3 ];
+            [ Value.Float 1.5; Value.Int 2; Value.Null; Value.Float 1.5 ];
+            [ Value.String "a"; Value.Int 1 ];
+          ]
+        in
+        let outcome f = match f () with v -> Ok v | exception Aggregate.Error _ -> Error () in
+        List.iter
+          (fun func ->
+            List.iter
+              (fun (distinct, star) ->
+                List.iteri
+                  (fun i vals ->
+                    let nrows = List.length vals in
+                    let listed =
+                      outcome (fun () -> Aggregate.compute func ~distinct ~star ~nrows vals)
+                    in
+                    let streamed =
+                      outcome (fun () ->
+                          Aggregate.compute_iter func ~distinct ~star ~nrows
+                            ~iter:(fun f -> List.iter f vals))
+                    in
+                    Alcotest.(check bool)
+                      (Fmt.str "%s distinct=%b star=%b input %d" (Ast.agg_func_name func)
+                         distinct star i)
+                      true (listed = streamed))
+                  inputs)
+              (if func = Ast.Count then [ (false, false); (true, false); (false, true) ]
+               else [ (false, false); (true, false) ]))
+          [ Ast.Count; Ast.Sum; Ast.Avg; Ast.Min; Ast.Max; Ast.Median; Ast.Stddev ]);
+  ]
+
+let suites = suites @ [ ("row-vec", row_vec_tests); ("aggregate-compute", aggregate_tests) ]

@@ -1,9 +1,10 @@
-(* The multicore execution layer: Task_pool semantics, the morsel operators
-   against their sequential fallbacks, the 3-way differential oracle
-   (reference interpreter = compiled sequential = compiled parallel),
-   bounded top-K ORDER BY ... LIMIT, mergeable partial aggregates,
-   domain-safe RNG streams, and exact budget conservation when the service
-   executes on a shared pool.
+(* The multicore execution layer: Task_pool semantics, the dispatch gates
+   of {!Parallel.gather}, the 3-way differential oracle (reference
+   interpreter = sequential run = run on a pool), bounded top-K ORDER BY
+   ... LIMIT, domain-safe RNG streams, and exact budget conservation when
+   the service executes on a shared pool. Only the columnar engine
+   dispatches to the pool; the row pipeline is sequential, and a pinned
+   test checks that row-only plans leave the pool untouched.
 
    Parallel paths are forced by dropping {!Parallel.threshold} and
    {!Parallel.morsel} to their floors, so even the tiny test fixtures split
@@ -16,9 +17,6 @@ module Database = Flex_engine.Database
 module Executor = Flex_engine.Executor
 module Task_pool = Flex_engine.Task_pool
 module Parallel = Flex_engine.Parallel
-module Aggregate = Flex_engine.Aggregate
-module Vec = Flex_engine.Row_vec
-module Ast = Flex_sql.Ast
 module Rng = Flex_dp.Rng
 module Laplace = Flex_dp.Laplace
 module Ledger = Flex_dp.Ledger
@@ -31,7 +29,7 @@ let with_pool ?(domains = 2) f =
   let pool = Task_pool.create ~domains in
   Fun.protect ~finally:(fun () -> Task_pool.shutdown pool) (fun () -> f pool)
 
-(* Push everything through the parallel operators regardless of input size,
+(* Push everything through the parallel kernels regardless of input size,
    pretending the host is wide enough that the cpu-count gate never trips
    (on narrow CI hosts the gate would otherwise send everything down the
    sequential path and the differential would test nothing). *)
@@ -118,53 +116,13 @@ let pool_tests =
         | _ -> Alcotest.fail "domains:1000 accepted");
   ]
 
-(* --- morsel operators vs their sequential fallbacks ----------------------- *)
-
-let int_row i = [| Value.Int i |]
+(* --- dispatch gates ----------------------------------------------------------- *)
 
 let op_tests =
   [
-    Alcotest.test_case "map/filter preserve order and content" `Quick (fun () ->
-        forced (fun () ->
-            with_pool (fun pool ->
-                let v = Vec.of_list (List.init 100 int_row) in
-                let double r =
-                  match r.(0) with Value.Int i -> int_row (2 * i) | _ -> assert false
-                in
-                Alcotest.(check bool) "map" true
-                  (Vec.to_list (Parallel.map ~pool double v) = Vec.to_list (Vec.map double v));
-                let keep r = match r.(0) with Value.Int i -> i mod 3 = 0 | _ -> false in
-                Alcotest.(check bool) "filter" true
-                  (Vec.to_list (Parallel.filter ~pool keep v) = Vec.to_list (Vec.filter keep v));
-                let key r = match r.(0) with Value.Int i -> i * i | _ -> assert false in
-                Alcotest.(check bool) "map_to_array" true
-                  (Parallel.map_to_array ~pool ~dummy:0 key v
-                  = Array.init 100 (fun i -> i * i)))));
-    Alcotest.test_case "partition keeps indices ascending and complete" `Quick (fun () ->
-        forced (fun () ->
-            with_pool (fun pool ->
-                let n = 103 and partitions = 4 in
-                let parts = Parallel.partition ~pool ~partitions (fun i -> i mod partitions) n in
-                Alcotest.(check int) "partition count" partitions (Array.length parts);
-                let seen = Array.make n false in
-                Array.iteri
-                  (fun p vec ->
-                    let last = ref (-1) in
-                    Vec.iter
-                      (fun i ->
-                        Alcotest.(check int) "partition of index" p (i mod partitions);
-                        Alcotest.(check bool) "ascending" true (i > !last);
-                        last := i;
-                        seen.(i) <- true)
-                      vec)
-                  parts;
-                Array.iteri
-                  (fun i s -> Alcotest.(check bool) (Fmt.str "index %d present" i) true s)
-                  seen)));
     Alcotest.test_case "below threshold runs sequentially" `Quick (fun () ->
         with_pool (fun pool ->
             (* default threshold 2048: a 10-row input must not split *)
-            Alcotest.(check bool) "not worthy" false (Parallel.parallel_worthy (Some pool) 10);
             Alcotest.(check bool) "no gather" true
               (Parallel.gather (Some pool) 10 (fun _ _ -> ()) = None)));
     Alcotest.test_case "cpu-count gate caps dispatch at the host width" `Quick (fun () ->
@@ -177,27 +135,23 @@ let op_tests =
               (fun () ->
                 Parallel.threshold := 0;
                 (* a 4-domain pool on a 1-cpu host: one effective worker,
-                   so every operator takes the sequential loop *)
+                   so every kernel takes the sequential loop *)
                 Parallel.host_cpus := 1;
                 Alcotest.(check int) "capped width" 1
                   (Parallel.effective_domains (Some pool));
-                Alcotest.(check bool) "gated off" false
-                  (Parallel.parallel_worthy (Some pool) 100_000);
                 Alcotest.(check bool) "no gather" true
                   (Parallel.gather (Some pool) 100_000 (fun _ _ -> ()) = None);
                 (* the same pool on a wide host splits again *)
                 Parallel.host_cpus := 8;
                 Alcotest.(check int) "full width" 4
                   (Parallel.effective_domains (Some pool));
-                Alcotest.(check bool) "worthy again" true
-                  (Parallel.parallel_worthy (Some pool) 100_000);
                 (* a host wider than the pool is still bounded by the pool *)
                 Parallel.host_cpus := 2;
                 Alcotest.(check int) "min of pool and host" 2
                   (Parallel.effective_domains (Some pool)))));
   ]
 
-(* --- 3-way differential: reference = compiled seq = compiled parallel ----- *)
+(* --- 3-way differential: reference = sequential run = run on a pool ----- *)
 
 let rows_equal ra rb =
   Array.length ra = Array.length rb
@@ -206,7 +160,7 @@ let rows_equal ra rb =
   Array.iteri (fun j va -> if not (Test_engine.cell_equal va rb.(j)) then ok := false) ra;
   !ok
 
-(* The parallel pipeline must agree with the sequential one on columns, row
+(* A run on the pool must agree with the sequential one on columns, row
    values AND row order; on failing queries both must fail (the error texts
    may differ: the first failure to complete wins under parallel claiming). *)
 let check_parallel_same pool db sql =
@@ -261,6 +215,60 @@ let differential_tests =
                       (Test_engine.force_build_left (Flex_sql.Parser.parse_exn sql)))
                   (Test_engine.null_mixed_queries @ Test_engine.build_left_traps
                  @ Test_engine.build_left_chains))));
+    (* Only the columnar engine dispatches to the pool: plans it declines
+       run the sequential row pipeline, which leaves the parallel dispatch
+       count where it was, while a columnar filter on the same forced pool
+       still splits. *)
+    Alcotest.test_case "row-only plans run sequentially on a pool" `Quick (fun () ->
+        forced (fun () ->
+            with_pool (fun pool ->
+                let db = Test_engine.fixture () in
+                let band = "CASE WHEN age > 30 THEN 'older' ELSE 'younger' END" in
+                List.iter
+                  (fun sql ->
+                    let f0 = Executor.columnar_fallbacks () in
+                    let p0 = fst (Parallel.ops_counts ()) in
+                    check_parallel_same pool db sql;
+                    if Executor.columnar_fallbacks () = f0 then
+                      Alcotest.failf "the columnar engine ran %s" sql;
+                    Alcotest.(check int) (sql ^ ": no pool dispatch") p0
+                      (fst (Parallel.ops_counts ())))
+                  [
+                    "SELECT p.name, x.kind FROM people p LEFT JOIN pets x ON p.id = x.owner_id";
+                    Fmt.str "SELECT %s AS band, COUNT(*) FROM people GROUP BY %s" band band;
+                  ];
+                let f0 = Executor.columnar_fallbacks () in
+                let p0 = fst (Parallel.ops_counts ()) in
+                check_parallel_same pool db "SELECT id, name FROM people WHERE age > 30";
+                Alcotest.(check int) "columnar filter: no fallback" f0
+                  (Executor.columnar_fallbacks ());
+                Alcotest.(check bool) "columnar filter dispatches" true
+                  (fst (Parallel.ops_counts ()) > p0))));
+    (* The row pipeline's aggregates, over one group or many, with HAVING
+       and projections over them, given a forced pool. *)
+    Alcotest.test_case "row-only aggregates agree 3-way on a pool" `Quick (fun () ->
+        forced (fun () ->
+            with_pool (fun pool ->
+                let db = Test_engine.fixture () in
+                let band = "CASE WHEN age > 30 THEN 'older' ELSE 'younger' END" in
+                List.iter
+                  (fun sql ->
+                    let f0 = Executor.columnar_fallbacks () in
+                    check_3way pool db sql;
+                    if Executor.columnar_fallbacks () = f0 then
+                      Alcotest.failf "the columnar engine ran %s" sql)
+                  [
+                    "SELECT COUNT(*), COUNT(x.kind), COUNT(DISTINCT x.kind), SUM(p.age), \
+                     MIN(p.age), MAX(p.age), AVG(p.age) FROM people p \
+                     LEFT JOIN pets x ON p.id = x.owner_id";
+                    Fmt.str
+                      "SELECT %s AS band, COUNT(*) + 1, SUM(age) * 2 FROM people GROUP BY %s \
+                       HAVING COUNT(*) > 1"
+                      band band;
+                    "SELECT p.city_id, COUNT(x.kind), MAX(x.kind) FROM people p \
+                     LEFT JOIN pets x ON p.id = x.owner_id GROUP BY p.city_id \
+                     HAVING SUM(p.age) > 30 ORDER BY p.city_id";
+                  ])));
   ]
 
 (* --- bounded top-K ORDER BY ... LIMIT ------------------------------------ *)
@@ -301,60 +309,6 @@ let topk_tests =
             with_pool (fun pool ->
                 let db = topk_fixture () in
                 List.iter (check_3way pool db) topk_queries)));
-  ]
-
-(* --- mergeable partial aggregates ---------------------------------------- *)
-
-let merge_of func chunks =
-  let ps =
-    List.map
-      (fun vals ->
-        let p = Aggregate.Partial.create func in
-        List.iter (Aggregate.Partial.add p) vals;
-        p)
-      chunks
-  in
-  Aggregate.Partial.merge (Array.of_list ps)
-
-let partial_tests =
-  [
-    Alcotest.test_case "mergeable predicate" `Quick (fun () ->
-        let m f = Aggregate.mergeable f ~distinct:false ~star:false in
-        List.iter
-          (fun f -> Alcotest.(check bool) (Ast.agg_func_name f) true (m f))
-          [ Ast.Count; Ast.Sum; Ast.Min; Ast.Max ];
-        List.iter
-          (fun f -> Alcotest.(check bool) (Ast.agg_func_name f) false (m f))
-          [ Ast.Avg; Ast.Median; Ast.Stddev ];
-        Alcotest.(check bool) "DISTINCT never merges" false
-          (Aggregate.mergeable Ast.Count ~distinct:true ~star:false);
-        Alcotest.(check bool) "COUNT(*) never merges" false
-          (Aggregate.mergeable Ast.Count ~distinct:false ~star:true);
-        match Aggregate.Partial.create Ast.Avg with
-        | exception Aggregate.Error _ -> ()
-        | _ -> Alcotest.fail "Partial.create accepted AVG");
-    Alcotest.test_case "merge is identical to the sequential compute" `Quick (fun () ->
-        let ints lo hi = List.init (hi - lo + 1) (fun i -> Value.Int (lo + i)) in
-        let all = ints 1 100 @ [ Value.Null ] in
-        let chunks = [ ints 1 40; ints 41 100 @ [ Value.Null ] ] in
-        List.iter
-          (fun func ->
-            let seq =
-              Aggregate.compute func ~distinct:false ~star:false ~nrows:(List.length all) all
-            in
-            Alcotest.(check bool)
-              (Ast.agg_func_name func ^ " merges exactly")
-              true
-              (merge_of func chunks = Some seq))
-          [ Ast.Count; Ast.Sum; Ast.Min; Ast.Max ];
-        (* a float reaching SUM refuses to merge: order-dependent rounding *)
-        Alcotest.(check bool) "float SUM declines" true
-          (merge_of Ast.Sum [ ints 1 3; [ Value.Float 0.5 ] ] = None);
-        (* empty groups *)
-        Alcotest.(check bool) "empty COUNT is 0" true
-          (merge_of Ast.Count [ []; [] ] = Some (Value.Int 0));
-        Alcotest.(check bool) "empty SUM is NULL" true
-          (merge_of Ast.Sum [ []; [] ] = Some Value.Null));
   ]
 
 (* --- domain-safe RNG streams ---------------------------------------------- *)
@@ -457,7 +411,6 @@ let suites =
     ("parallel-ops", op_tests);
     ("parallel-differential", differential_tests);
     ("parallel-topk", topk_tests);
-    ("aggregate-partial", partial_tests);
     ("rng-stream", stream_tests);
     ("parallel-service", service_tests);
   ]

@@ -1322,6 +1322,68 @@ let tcp_tests =
         Sys.remove path);
   ]
 
+(* --- hostile depth ---------------------------------------------------------------- *)
+
+(* About a MiB of one nesting or chaining shape: [head], [link i] for as
+   many links as fit, [base], then [tail i] for every link written. *)
+let mib_statement ~head ~link ?(tail = fun _ -> "") base =
+  let b = Buffer.create (1 lsl 20) and t = Buffer.create 1024 in
+  Buffer.add_string b head;
+  let n = ref 0 in
+  while Buffer.length b + Buffer.length t < (1 lsl 20) - 64 do
+    Buffer.add_string b (link !n);
+    Buffer.add_string t (tail !n);
+    incr n
+  done;
+  Buffer.add_string b base;
+  Buffer.add_buffer b t;
+  Buffer.contents b
+
+let hostile_shapes =
+  let where = "SELECT COUNT(*) FROM trips WHERE " and again s _ = s in
+  [
+    ( "OR chain on a missing table",
+      mib_statement ~head:"SELECT COUNT(*) FROM nowhere WHERE x = 0" ~link:(Fmt.str " OR x = %d")
+        "" );
+    ("OR chain on trips", mib_statement ~head:(where ^ "fare = 0") ~link:(Fmt.str " OR fare = %d") "");
+    ("nested NOTs", mib_statement ~head:where ~link:(again "NOT ") "fare > 1");
+    ("open parentheses", mib_statement ~head:where ~link:(again "(") "");
+    ("arithmetic chain", mib_statement ~head:(where ^ "fare") ~link:(again " + 1") " > 0");
+    ( "nested derived tables",
+      mib_statement ~head:"SELECT COUNT(*) FROM " ~link:(again "(SELECT * FROM ")
+        ~tail:(again ") t") "trips" );
+    ( "join chain",
+      mib_statement ~head:"SELECT COUNT(*) FROM trips t"
+        ~link:(fun i -> Fmt.str " JOIN trips t%d ON t.id = t%d.id" i i)
+        "" );
+  ]
+
+let depth_tests =
+  [
+    Alcotest.test_case "a MiB of nesting is a free parse rejection in under 0.5 s" `Quick
+      (fun () ->
+        let server, ledger = make_server () in
+        let session = Server.session server in
+        hello server session "alice";
+        List.iter
+          (fun (shape, sql) ->
+            let t0 = Unix.gettimeofday () in
+            let reply = query server session sql in
+            let elapsed = Unix.gettimeofday () -. t0 in
+            (match reply with
+            | Wire.Rejected r ->
+              Alcotest.(check string) (shape ^ ": bucket") "parse" r.bucket;
+              if not (Astring.String.is_infix ~affix:"deeper than 256 levels" r.reason) then
+                Alcotest.failf "%s: reason %s" shape r.reason
+            | other -> Alcotest.failf "%s: %s" shape (Wire.response_to_line other));
+            if elapsed >= 0.5 then Alcotest.failf "%s took %.3f s" shape elapsed)
+          hostile_shapes;
+        Alcotest.(check bool) "nothing spent" true
+          (Ledger.spent ledger ~analyst:"alice" = Some (0.0, 0.0));
+        Alcotest.(check int) "every shape rejected" (List.length hostile_shapes)
+          (Server.counters server).rejected);
+  ]
+
 let suites =
   [
     ("service-json", json_tests);
@@ -1331,5 +1393,6 @@ let suites =
     ("service-server", server_tests);
     ("service-early-refusal", early_refusal_tests);
     ("service-conclude", conclude_tests);
+    ("service-depth", depth_tests);
     ("service-tcp", tcp_tests);
   ]

@@ -476,3 +476,47 @@ let kitchen_sink_tests =
   ]
 
 let suites = suites @ [ ("kitchen-sink", kitchen_sink_tests) ]
+
+(* --- depth limit ------------------------------------------------------------ *)
+
+let rep n s = String.concat "" (List.init n (fun _ -> s))
+
+(* Each shape is a statement exactly [Parser.max_depth] levels deep and the
+   same shape one level deeper. The last one nests a chain's first operand:
+   the chain is two levels taller per parenthesis, which a count of open
+   parentheses alone would miss. *)
+let depth_shapes =
+  let l = Parser.max_depth in
+  let grow k f = (f k, f (k + 1)) in
+  let nested_operand prefix = Fmt.str "SELECT %s%sx%s" prefix (rep 127 "(") (rep 127 ") + 1") in
+  [
+    ("parentheses", grow (l - 2) (fun k -> "SELECT " ^ rep k "(" ^ "1" ^ rep k ")"));
+    ("NOT chain", grow (l - 2) (fun k -> "SELECT COUNT(*) FROM t WHERE " ^ rep k "NOT " ^ "x = 1"));
+    ("OR chain", grow (l - 2) (fun k -> "SELECT COUNT(*) FROM t WHERE x = 0" ^ rep k " OR x = 1"));
+    ("arithmetic chain", grow (l - 2) (fun k -> "SELECT x" ^ rep k " + 1" ^ " FROM t"));
+    ("join chain", grow (l - 2) (fun k -> "SELECT COUNT(*) FROM t0" ^ rep k " JOIN t ON a = b"));
+    ( "derived tables",
+      grow (l - 1) (fun k -> "SELECT COUNT(*) FROM " ^ rep k "(SELECT * FROM " ^ "t" ^ rep k ") x")
+    );
+    ("UNION chain", grow (l - 2) (fun k -> "SELECT 1" ^ rep k " UNION SELECT 1"));
+    ("chain over a nested operand", (nested_operand "", nested_operand "NOT "));
+  ]
+
+let depth_tests =
+  [
+    Alcotest.test_case "a statement at the depth limit parses, one level deeper is refused"
+      `Quick (fun () ->
+        List.iter
+          (fun (shape, (at_limit, deeper)) ->
+            (match Parser.parse at_limit with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%s at the limit: %s" shape e);
+            match Parser.parse deeper with
+            | Ok _ -> Alcotest.failf "%s one level deeper parsed" shape
+            | Error e ->
+              if not (Astring.String.is_infix ~affix:"deeper than 256 levels" e) then
+                Alcotest.failf "%s: %s" shape e)
+          depth_shapes);
+  ]
+
+let suites = suites @ [ ("parser-depth", depth_tests) ]

@@ -125,6 +125,28 @@ let corpus_tests =
         match s.W.Corpus.join_conditions with
         | (top, _) :: _ -> Alcotest.(check string) "top condition" "equijoin" top
         | [] -> Alcotest.fail "no join conditions");
+    Alcotest.test_case "every corpus query parses under the depth limit" `Quick (fun () ->
+        let parses what sql =
+          match Flex_sql.Parser.parse sql with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s query does not parse (%s): %s" what e sql
+        in
+        let sizes = W.Uber.default_sizes in
+        List.iter
+          (fun (q : W.Qgen.t) ->
+            parses "Qgen" q.sql;
+            parses "Qgen" q.population_sql)
+          (W.Qgen.generate (Rng.create ~seed:11 ()) ~count:120 ~n_cities:sizes.cities
+             ~n_drivers:sizes.drivers ~n_users:sizes.users);
+        List.iter
+          (fun (q : W.Tpch.query) ->
+            parses "TPC-H" q.sql;
+            parses "TPC-H" (W.Tpch.population_sql q.name))
+          W.Tpch.queries;
+        List.iter (fun (p : W.Representative.program) -> parses "5.5" p.sql) W.Representative.programs;
+        List.iter
+          (fun (q : W.Corpus.qdesc) -> parses "section 2" q.sql)
+          (W.Corpus.generate (Rng.create ~seed:1 ()) 20000));
     Alcotest.test_case "corpus generation is deterministic" `Quick (fun () ->
         let c1 = W.Corpus.generate (Rng.create ~seed:5 ()) 50 in
         let c2 = W.Corpus.generate (Rng.create ~seed:5 ()) 50 in
