@@ -14,8 +14,8 @@
      magnitude shrinks at smoke scale, but a mechanism that stops helping
      at all drops to ~1x and below at every scale;
    - invariant booleans (zero_budget, conservation_exact, warm_cache_hit,
-     all_derived, restart_conservation, ...) — true in the committed run
-     must stay true, noise-free at any scale.
+     all_derived, restart_conservation, hit_line_identical, ...) — true in
+     the committed run must stay true, noise-free at any scale.
 
    Everything else (raw ns, qps, counts) is reported but never gated. *)
 

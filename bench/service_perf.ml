@@ -19,6 +19,9 @@
    repeat must come back [cached] with zero spend, and a simulated restart
    (fresh server, different RNG seed, same journals) must replay previously
    released answers byte-identically without charging another epsilon.
+   The hit-line section times the reactor's hit path in process (request
+   line in, reply line out) and fails unless every spliced reply equals the
+   one Server.handle gives on a twin server ([hit_line_identical]).
 
    The ledger section measures history independence: Ledger.spend on an
    analyst with N prior spends against one with none, and journal replay
@@ -300,6 +303,77 @@ let bench_replay_throughput fixture ~threads ~per_thread ~rounds =
   in
   (queries, wall_ns, hit_rate)
 
+(* The reactor's hit path in process: a request line in and a reply line out
+   (decode + Server.answer_hit), on a replay-enabled server logging to an
+   audit file like flex_serve. The requests are every shape's text, its
+   alias-renamed form and a LIMIT variant (a derivation), from two analysts
+   whose remaining budgets differ, each with its own id. A twin server
+   primed the same way answers the same requests through Server.handle and
+   Wire.response_to_line: [identical] says every spliced line equalled its
+   twin's, checked before the clock starts. Returns the median ns per line
+   over [rounds] batches of [batch] lines. *)
+let bench_hit_line fixture ~rounds ~batch =
+  let twin () =
+    let path = Filename.temp_file "flex_service_bench" ".audit" in
+    let audit = Audit.to_file path in
+    let server = make_server ~replay:true ~audit fixture in
+    let payer = Server.session server and other = Server.session server in
+    hello server payer "bench";
+    hello server other "bench-2";
+    List.iter (fun s -> ignore (run_query server payer s.sql)) shapes;
+    (server, [| payer; other |], fun () -> Audit.close audit; Sys.remove path)
+  in
+  let texts = List.concat_map (fun s -> [ s.sql; s.warm_sql; s.sql ^ " LIMIT 3" ]) shapes in
+  let lines =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun i sql ->
+              List.init 2 (fun who ->
+                  ( who,
+                    Wire.request_to_line
+                      (Wire.Query
+                         { sql; epsilon = None; delta = None; id = Some (Fmt.str "h%d.%d" i who) })
+                  )))
+            texts))
+  in
+  let spliced, s_sessions, s_close = twin () and direct, d_sessions, d_close = twin () in
+  let hit server sessions (who, line) =
+    match Wire.request_of_line line with
+    | Ok req -> Server.answer_hit server sessions.(who) req
+    | Error e -> Fmt.failwith "hit line: %s" e
+  in
+  (* the first send of a text is a memo miss: memoise every text on both *)
+  Array.iter
+    (fun (who, line) ->
+      let req = Result.get_ok (Wire.request_of_line line) in
+      ignore (Server.handle spliced s_sessions.(who) req);
+      ignore (Server.handle direct d_sessions.(who) req))
+    lines;
+  let identical =
+    Array.for_all
+      (fun ((who, line) as l) ->
+        let req = Result.get_ok (Wire.request_of_line line) in
+        hit spliced s_sessions l
+        = Some
+            (Wire.response_to_line ?id:(Wire.request_id req)
+               (Server.handle direct d_sessions.(who) req)))
+      lines
+  in
+  let n = Array.length lines in
+  let per_line =
+    median
+      (List.init rounds (fun r ->
+           let t0 = Unix.gettimeofday () in
+           for j = 0 to batch - 1 do
+             ignore (hit spliced s_sessions lines.(((r * batch) + j) mod n))
+           done;
+           (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch))
+  in
+  s_close ();
+  d_close ();
+  (per_line, identical)
+
 (* DP conservation across a simulated restart: two server generations over
    the same ledger + release journals. The second runs with a different RNG
    seed, so any byte-identical answer can only have come from the store.
@@ -487,6 +561,13 @@ let () =
   Fmt.pr
     "  replay throughput: %d queries in %.1f ms (%.0f q/s), release hit rate %.3f@."
     rqueries (rwall_ns /. 1e6) warm_replay_qps replay_hit_rate;
+  let hit_line_ns, hit_line_identical =
+    bench_hit_line fixture ~rounds:(if !smoke then 5 else 21) ~batch:(if !smoke then 200 else 2000)
+  in
+  Fmt.pr "  hit line: %.0f ns per request line through decode + Server.answer_hit%s@."
+    hit_line_ns
+    (if hit_line_identical then ", every line identical to Server.handle's"
+     else ", LINES DIFFER from Server.handle's");
   restart_gate fixture;
   Fmt.pr "  restart gate: byte-identical replays, zero additional spend@.";
   let ledger_n = if !smoke then 2_000 else 10_000 in
@@ -521,8 +602,10 @@ let () =
     (Fmt.str
        "  \"replay\": {\"cold_ns\": %.0f, \"replay_ns\": %.0f, \
         \"replay_speedup\": %.1f, \"warm_replay_qps\": %.0f, \
-        \"replay_hit_rate\": %.3f, \"restart_conservation\": true},\n"
-       cold_ns replay_ns replay_speedup warm_replay_qps replay_hit_rate);
+        \"replay_hit_rate\": %.3f, \"restart_conservation\": true, \
+        \"hit_line_ns\": %.0f, \"hit_line_identical\": %b},\n"
+       cold_ns replay_ns replay_speedup warm_replay_qps replay_hit_rate hit_line_ns
+       hit_line_identical);
   Buffer.add_string b
     (Fmt.str
        "  \"ledger\": {\"n\": %d, \"spend_ns_history\": %.0f, \"spend_ns_fresh\": %.0f, \
@@ -535,6 +618,8 @@ let () =
   (match Json.of_string json with
   | Ok _ -> ()
   | Error e -> Fmt.failwith "generated JSON is malformed: %s" e);
+  if not hit_line_identical then
+    Fmt.failwith "hit line: a spliced reply differs from Server.handle's";
   (* the cache must be measurably effective, or the number is a lie *)
   List.iter
     (fun r ->

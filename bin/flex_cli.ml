@@ -259,7 +259,7 @@ let explain_cmd =
       match Flex_sql.Parser.parse sql with
       | Ok _ -> assert false
       | Error e ->
-        Fmt.epr "parse error: %s@." e;
+        Fmt.epr "%s@." e;
         exit 1));
     match metrics_file with
     | None -> ()

@@ -59,7 +59,10 @@ let pp_unsupported ppf = function
     Fmt.string ppf "subquery over private tables used in a predicate"
 
 let pp_reason ppf = function
-  | Parse_error m -> Fmt.pf ppf "parse error: %s" m
+  | Parse_error m ->
+    (* the parser's messages begin "parse error at line ..." already *)
+    if String.starts_with ~prefix:"parse error" m then Fmt.string ppf m
+    else Fmt.pf ppf "parse error: %s" m
   | Unsupported u -> Fmt.pf ppf "unsupported query: %a" pp_unsupported u
   | Analysis_error m -> Fmt.pf ppf "analysis error: %s" m
 

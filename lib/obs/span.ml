@@ -10,8 +10,8 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let root name =
-  { name; start_ns = Clock.now_ns (); end_ns = 0.0; rev_children = []; lock = Mutex.create () }
+let root ?(start_ns = Clock.now_ns ()) name =
+  { name; start_ns; end_ns = 0.0; rev_children = []; lock = Mutex.create () }
 
 let enter ?(start_ns = Clock.now_ns ()) parent name =
   let child = { name; start_ns; end_ns = 0.0; rev_children = []; lock = parent.lock }
@@ -19,9 +19,8 @@ let enter ?(start_ns = Clock.now_ns ()) parent name =
   with_lock parent (fun () -> parent.rev_children <- child :: parent.rev_children);
   child
 
-let finish t =
-  let now = Clock.now_ns () in
-  with_lock t (fun () -> if t.end_ns = 0.0 then t.end_ns <- now)
+let finish ?(end_ns = Clock.now_ns ()) t =
+  with_lock t (fun () -> if t.end_ns = 0.0 then t.end_ns <- end_ns)
 
 let timed parent name f =
   match parent with

@@ -12,17 +12,21 @@
 
 type t
 
-val root : string -> t
-(** Start a new trace with an open root span. *)
+val root : ?start_ns:float -> string -> t
+(** Start a new trace with an open root span, now or at [start_ns] (an
+    earlier {!Clock.now_ns} reading, for a request known to need a trace
+    only once its first stage has run; {!enter} and {!finish} date that
+    stage's span the same way). *)
 
 val enter : ?start_ns:float -> t -> string -> t
 (** Start a child span under [parent], now or at [start_ns] (an earlier
     {!Clock.now_ns} reading, for a stage whose name is known only once it
     has run). *)
 
-val finish : t -> unit
-(** Close the span (records its end time). Idempotent: the first call
-    wins. Finishing a parent does not finish its children. *)
+val finish : ?end_ns:float -> t -> unit
+(** Close the span (records its end time, now or [end_ns], an earlier
+    {!Clock.now_ns} reading). Idempotent: the first call wins. Finishing a
+    parent does not finish its children. *)
 
 val timed : t option -> string -> (t option -> 'a) -> 'a
 (** [timed parent name f] runs [f] inside a fresh child span, finishing it

@@ -39,6 +39,7 @@ let find t ~key =
         None)
 
 let peek t ~key = with_lock t (fun () -> Hashtbl.find_opt t.table key)
+let count_hit t = with_lock t (fun () -> t.hits <- t.hits + 1)
 
 let add t ~key v =
   with_lock t (fun () ->

@@ -21,7 +21,11 @@ val find : 'a t -> key:string -> 'a option
 
 val peek : 'a t -> key:string -> 'a option
 (** Look [key] up without counting a hit or a miss: a probe that must leave
-    no trace ({!Server.store_hit}). *)
+    no trace ({!Server.answer_hit}). *)
+
+val count_hit : 'a t -> unit
+(** Count one hit: a {!peek} that found its key and is then used, as a
+    {!find} would have counted it. *)
 
 val add : 'a t -> key:string -> 'a -> unit
 (** Store [v] under [key] unless the key is already present (a racing

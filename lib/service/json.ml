@@ -182,18 +182,38 @@ let parse_string p =
   go ();
   Buffer.contents b
 
+let is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+
+(* A token is the longest run of [is_num_char]. A plain integer token (an
+   optional sign and 1 to 15 digits) is exact in a double, so it is summed
+   in place; any other token goes through [float_of_string], which decides
+   what it accepts. *)
 let parse_number p =
+  let src = p.src and n = String.length p.src in
   let start = p.pos in
-  let is_num_char c =
-    match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  let digits_from =
+    if start < n && (src.[start] = '-' || src.[start] = '+') then start + 1 else start
   in
-  while p.pos < String.length p.src && is_num_char p.src.[p.pos] do
-    p.pos <- p.pos + 1
+  let i = ref digits_from and v = ref 0 in
+  while !i < n && match src.[!i] with '0' .. '9' -> true | _ -> false do
+    v := (!v * 10) + (Char.code src.[!i] - Char.code '0');
+    incr i
   done;
-  let s = String.sub p.src start (p.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> error p "bad number %S" s
+  let digits = !i - digits_from in
+  if digits >= 1 && digits <= 15 && not (!i < n && is_num_char src.[!i]) then begin
+    p.pos <- !i;
+    (* negated, not multiplied: "-0" is -0.0 *)
+    Num (if src.[start] = '-' then -.float_of_int !v else float_of_int !v)
+  end
+  else begin
+    while p.pos < n && is_num_char src.[p.pos] do
+      p.pos <- p.pos + 1
+    done;
+    let s = String.sub src start (p.pos - start) in
+    match float_of_string_opt s with
+    | Some f -> Num f
+    | None -> error p "bad number %S" s
+  end
 
 (* [depth] counts the containers around the value being parsed *)
 let rec parse_value p depth =

@@ -25,13 +25,13 @@ let default_config =
 (* All connection state is owned by the reactor thread. Workers never touch
    a [conn]: they hand finished responses back through [t.completions] and
    the wake pipe, and the reactor applies them. The reactor answers store
-   hits itself and queues those replies directly. *)
+   hits itself and writes those replies directly. *)
 type conn = {
   fd : Unix.file_descr;
   session : Server.session;
   partial : Buffer.t;  (* bytes of an incomplete frame *)
   inbox : string Queue.t;  (* framed requests not yet admitted *)
-  outq : string Queue.t;  (* encoded response lines, '\n' included *)
+  outq : string Queue.t;  (* response lines, '\n' included, not yet written *)
   mutable out_off : int;  (* bytes of the head of [outq] already written *)
   mutable out_bytes : int;  (* total unwritten bytes across [outq] *)
   mutable busy : bool;  (* one request in the worker pool *)
@@ -195,10 +195,6 @@ let stats t =
 
 (* ------------------------------------------------------------ connections *)
 
-let enqueue_out c s =
-  Queue.push s c.outq;
-  c.out_bytes <- c.out_bytes + String.length s
-
 let close_conn t c =
   if not c.dead then begin
     c.dead <- true;
@@ -208,15 +204,46 @@ let close_conn t c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
-(* [Server.handle] never raises, so neither does serving a request. *)
-let serve t c req =
-  Wire.response_to_line ?id:(Wire.request_id req) (Server.handle t.server c.session req)
-  ^ "\n"
+let write_conn t c =
+  let continue = ref true in
+  while !continue && not (Queue.is_empty c.outq) do
+    let s = Queue.peek c.outq in
+    let remaining = String.length s - c.out_off in
+    match Unix.write_substring c.fd s c.out_off remaining with
+    | written ->
+      c.out_bytes <- c.out_bytes - written;
+      if written = remaining then begin
+        ignore (Queue.pop c.outq);
+        c.out_off <- 0
+      end
+      else begin
+        c.out_off <- c.out_off + written;
+        continue := false
+      end;
+      if written > 0 then c.last_activity <- now_s ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+      continue := false
+    | exception Unix.Unix_error _ ->
+      close_conn t c;
+      continue := false
+  done
+
+(* Queue a reply and write it at once when nothing is queued ahead of it.
+   Output stays queued only after a short write, and only then does the
+   loop select the socket for writability. *)
+let enqueue_out t c s =
+  let idle = Queue.is_empty c.outq in
+  Queue.push s c.outq;
+  c.out_bytes <- c.out_bytes + String.length s;
+  if idle then write_conn t c
 
 (* Execute one request on a worker thread: everything here besides
-   [Server.handle] only moves bytes and posts the completion. *)
+   [Server.handle] (which never raises) only moves bytes and posts the
+   completion. *)
 let job t c req () =
-  let line = serve t c req in
+  let line =
+    Wire.response_to_line ?id:(Wire.request_id req) (Server.handle t.server c.session req) ^ "\n"
+  in
   Mutex.protect t.lock (fun () ->
       Queue.push { cc = c; line; close = req = Wire.Quit } t.completions);
   wake t
@@ -224,7 +251,7 @@ let job t c req () =
 (* Serve the connection's framed requests in order until one goes to a
    worker or the connection must wait. Each line is decoded here, once; a
    line that does not decode is answered with its error at once. A store
-   hit ({!Server.store_hit}) is answered on this thread: it costs
+   hit ({!Server.answer_hit}) is answered on this thread: it costs
    microseconds and no I/O but an audit line, and the handoff to a worker
    and back would cost more than the answer, for no parallelism (workers
    share the runtime lock). Every other request — a miss that may charge
@@ -242,21 +269,23 @@ let rec pump t c =
     | None -> ()
     | Some line ->
       (match Wire.request_of_line line with
-      | Error msg -> enqueue_out c (error_line msg)
-      | Ok req when Server.store_hit t.server c.session req ->
-        t.answered_total <- t.answered_total + 1;
-        enqueue_out c (serve t c req)
-      | Ok req ->
-        if Workers.try_submit t.pool (job t c req) then c.busy <- true
-        else begin
-          (* the bounded queue is full: typed load shedding, charged
-             nothing, SQL-parsed never *)
-          t.shed_total <- t.shed_total + 1;
-          Server.log_overload t.server
-            ~analyst:(Server.session_analyst c.session)
-            ~line;
-          enqueue_out c overload_line
-        end);
+      | Error msg -> enqueue_out t c (error_line msg)
+      | Ok req -> (
+        match Server.answer_hit t.server c.session req with
+        | Some reply ->
+          t.answered_total <- t.answered_total + 1;
+          enqueue_out t c (reply ^ "\n")
+        | None ->
+          if Workers.try_submit t.pool (job t c req) then c.busy <- true
+          else begin
+            (* the bounded queue is full: typed load shedding, charged
+               nothing, SQL-parsed never *)
+            t.shed_total <- t.shed_total + 1;
+            Server.log_overload t.server
+              ~analyst:(Server.session_analyst c.session)
+              ~line;
+            enqueue_out t c overload_line
+          end));
       pump t c
 
 let accept_loop t =
@@ -325,7 +354,7 @@ let feed_chunk t c bytes len =
   Buffer.add_subbytes c.partial bytes !start (len - !start);
   if Buffer.length c.partial > t.config.max_line_bytes then begin
     (* a frame this long is hostile or broken either way; answer and hang up *)
-    enqueue_out c
+    enqueue_out t c
       (error_line
          (Printf.sprintf "request line exceeds %d bytes" t.config.max_line_bytes));
     Buffer.clear c.partial;
@@ -346,30 +375,6 @@ let read_conn t read_buf c =
     feed_chunk t c read_buf n
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn t c
-
-let write_conn t c =
-  let continue = ref true in
-  while !continue && not (Queue.is_empty c.outq) do
-    let s = Queue.peek c.outq in
-    let remaining = String.length s - c.out_off in
-    match Unix.write_substring c.fd s c.out_off remaining with
-    | written ->
-      c.out_bytes <- c.out_bytes - written;
-      if written = remaining then begin
-        ignore (Queue.pop c.outq);
-        c.out_off <- 0
-      end
-      else begin
-        c.out_off <- c.out_off + written;
-        continue := false
-      end;
-      if written > 0 then c.last_activity <- now_s ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-      continue := false
-    | exception Unix.Unix_error _ ->
-      close_conn t c;
-      continue := false
-  done
 
 (* ------------------------------------------------------------------ loop *)
 
@@ -393,7 +398,7 @@ let drain_completions t =
     (fun { cc; line; close } ->
       cc.busy <- false;
       if not cc.dead then begin
-        enqueue_out cc line;
+        enqueue_out t cc line;
         if close then cc.closing <- true;
         cc.last_activity <- now_s ()
       end)
@@ -436,10 +441,16 @@ let run t =
   let read_buf = Bytes.create 16384 in
   let force_deadline = ref None in
   let continue = ref true in
+  (* Workers post a completion before they write the wake pipe, and the
+     pipe is drained before the completions, so a completion is never left
+     behind by draining only when [select] reports the pipe readable. *)
+  let woken = ref false in
   while !continue do
     let stopping = Mutex.protect t.lock (fun () -> t.stopping) in
-    drain_wake t;
-    drain_completions t;
+    if !woken then begin
+      drain_wake t;
+      drain_completions t
+    end;
     let conns = live_conns t in
     if not stopping then List.iter (pump t) conns;
     sweep_done t;
@@ -489,6 +500,7 @@ let run t =
       match Unix.select reads writes [] timeout with
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | rs, ws, _ ->
+        woken := List.memq t.wake_r rs;
         if List.memq t.sock rs && not stopping then accept_loop t;
         List.iter
           (fun fd ->

@@ -9,14 +9,15 @@
     - {b one reactor thread} multiplexes every connection with
       [Unix.select]: it accepts, reads, frames line-delimited requests
       incrementally (no [in_channel], no blocking reads), decodes each
-      request once, and writes queued responses when sockets are ready —
-      a slow reader never blocks anything but its own connection;
+      request once, and writes each response as soon as it is queued,
+      selecting a socket for writability only after a short write — a
+      slow reader never blocks anything but its own connection;
     - {b store hits on the reactor}: a zero-budget replay or derivation
-      ({!Server.store_hit}, a probe that counts nothing) is answered by
-      {!Server.handle} on the reactor thread itself. It does no blocking
-      I/O but its audit line, and the workers share the reactor's
-      runtime lock, so the handoff would only add latency. A hit is never
-      shed;
+      is answered by {!Server.answer_hit} on the reactor thread itself,
+      from the stored release its single probe found (a probe that
+      misses counts nothing). It does no blocking I/O but its audit line,
+      and the workers share the reactor's runtime lock, so the handoff
+      would only add latency. A hit is never shed;
     - {b a bounded worker pool} ({!Workers}) runs {!Server.handle} for
       every other request: misses, which may charge and journal (the
       blocking writes and fsyncs the workers overlap), and every other op.
@@ -41,10 +42,9 @@
 
     The privacy-critical ordering lives in the server: charge → journal →
     respond all happen inside {!Server.handle}, on a worker thread for
-    every request that may charge. (A release evicted, or a text dropped
-    from the canon memo, between the probe and [handle] turns a hit into
-    a miss that runs the whole pipeline on the reactor thread: correct,
-    just slow for everyone that moment.)
+    every request that may charge. A request the probe calls a hit is
+    served from the entry in hand and never charges, whatever evicts or
+    strands that entry meanwhile.
 
     Accepted sockets get [TCP_NODELAY]. The loop is built on
     [Unix.select], so [max_connections] must stay well under [FD_SETSIZE]

@@ -381,7 +381,10 @@ let path t = t.journal_path
 
 (* --- operations ------------------------------------------------------------- *)
 
-let mem t key = with_lock t (fun () -> Hashtbl.mem t.table key)
+let peek t key =
+  with_lock t (fun () -> Option.map (fun s -> s.entry) (Hashtbl.find_opt t.table key))
+
+let count_hit t = with_lock t (fun () -> t.hits <- t.hits + 1)
 
 let find t key =
   with_lock t (fun () ->

@@ -93,9 +93,13 @@ val path : t -> string option
 val find : t -> string -> entry option
 (** Lookup by composite key, counting a hit or a miss. *)
 
-val mem : t -> string -> bool
-(** Whether a release is stored under the key. Counts nothing: it is the
-    reactor's probe ({!Server.store_hit}), which must leave no trace. *)
+val peek : t -> string -> entry option
+(** Lookup by composite key, counting nothing: it is the reactor's probe
+    ({!Server.answer_hit}), which must leave no trace. *)
+
+val count_hit : t -> unit
+(** Count one hit: a {!peek} that found its release and served it, as a
+    {!find} would have counted it. *)
 
 val record : t -> entry -> entry
 (** Journal (flush, fsync when [sync]) and admit a finished release, then

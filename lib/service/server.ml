@@ -121,6 +121,23 @@ type canonical =
   | Factored of Flex_sql.Factor.t
   | Whole of { canon : string; ast : Flex_sql.Ast.query }
 
+(* An answer computed from one release: the stored (or just-minted) entry's
+   rows, or the rows its text's post-processing suffix makes of them. *)
+type answer = {
+  how : [ `Granted | `Replayed | `Derived ];
+  entry : Release_store.entry;  (* the release the answer was computed from *)
+  columns : string list;
+  rows : Flex_engine.Value.t array list;
+}
+
+(* A canon-memo entry. Beside the text's canonical form it keeps the last
+   answer a store hit on the text served, with its reply line encoded, so
+   the next hit on the same release splices in its own remaining budget and
+   id instead of post-processing and encoding again. At most one answer per
+   text: a hit on another release (a new epsilon, a new data epoch, a
+   release paid again after an eviction) replaces it. *)
+type memo = { canonical : canonical; last_hit : (answer * Wire.result_line) option Atomic.t }
+
 type t = {
   config : config;
   (* the data epoch: [db], [metrics] and [fingerprint] are replaced together
@@ -134,8 +151,9 @@ type t = {
   (* raw SQL text -> its canonical form, looked up before parsing. It is a
      pure function of the text, so entries never go stale, and a repeated
      text skips both the parse and the core/suffix split: the derived fast
-     path is memo + store probe + suffix evaluation. *)
-  canon_memo : canonical Cache.t;
+     path is memo + store probe + suffix evaluation, and a store hit on the
+     same release as the text's last one is memo + store probe + splice. *)
+  canon_memo : memo Cache.t;
   release_store : Release_store.t option;  (* Some iff [config.release_cache] *)
   limiter : Rate_limit.t option;  (* Some iff [config.rate_limit_qps] *)
   audit : Audit.t;
@@ -516,7 +534,7 @@ let canon_key = function Factored f -> f.core_sql | Whole { canon; _ } -> canon
 
 (* The release-store key of a canonical query under [options] in the data
    epoch [fingerprint]: the one definition, shared by [run_query] and the
-   reactor's probe [store_hit]. *)
+   reactor's probe in [answer_hit]. *)
 let release_key ~fingerprint (options : Flex.options) canonical =
   Release_store.key ~sql_canonical:(canon_key canonical) ~fingerprint
     ~flags:(release_flags options) ~epsilon:options.epsilon ~delta:options.delta
@@ -566,13 +584,7 @@ let handle_hello t session ~analyst ~epsilon ~delta =
    audit event, one flight record and the wire reply. *)
 
 type outcome =
-  | Answered of {
-      how : [ `Granted | `Replayed | `Derived ];
-      entry : Release_store.entry;  (* the release the answer was computed from *)
-      columns : string list;
-      rows : Flex_engine.Value.t array list;
-      remaining : float * float;
-    }
+  | Answered of answer
   | Rejected of { bucket : string; reason : string }
   | Refused of { requested : float * float; remaining : float * float }
   | Failed of string
@@ -581,18 +593,20 @@ type outcome =
    is known once the query is canonicalized, [cache_hit] once it is
    analysed or replayed, and [charged] once the ledger has journaled its
    cost — the audit event carries exactly that charge, whatever the
-   outcome, so the audit log's epsilon sums to the ledger's. *)
+   outcome, so the audit log's epsilon sums to the ledger's. [remaining] is
+   the analyst's budget an answer reports. *)
 type request = {
   base : Audit.event;
   root : Span.t option;
   mutable key : string option;
   mutable cache_hit : bool;
   mutable charged : float * float;
+  mutable remaining : float * float;
 }
 
 let request ?id ?root ~analyst ~sql () =
   let base = base_event ?id ~analyst ~sql () in
-  { base; root; key = None; cache_hit = false; charged = (0.0, 0.0) }
+  { base; root; key = None; cache_hit = false; charged = (0.0, 0.0); remaining = (0.0, 0.0) }
 
 let rejected reason = Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
 let failed exn = Failed ("internal error: " ^ Printexc.to_string exn)
@@ -618,8 +632,8 @@ let reply req = function
         rows = List.map (fun row -> List.map Wire.json_of_value (Array.to_list row)) a.rows;
         epsilon_spent = fst req.charged;
         delta_spent = snd req.charged;
-        remaining_epsilon = fst a.remaining;
-        remaining_delta = snd a.remaining;
+        remaining_epsilon = fst req.remaining;
+        remaining_delta = snd req.remaining;
         cache_hit = req.cache_hit;
         cached = a.how <> `Granted;
         derived = a.how = `Derived;
@@ -638,10 +652,10 @@ let reply req = function
       }
   | Failed reason -> Wire.Error_msg reason
 
-(* The one exit of every query-op request. Each outcome names the counter
-   it moves and how the audit log, the flight recorder and the statement
-   table call it. *)
-let conclude t req outcome =
+(* The bookkeeping of the one exit of every query-op request. Each outcome
+   names the counter it moves and how the audit log, the flight recorder and
+   the statement table call it. *)
+let settle t req outcome =
   let c = t.counts in
   let counter, audited, flight_outcome, statement_outcome =
     match outcome with
@@ -676,7 +690,11 @@ let conclude t req outcome =
     }
   in
   Audit.log t.audit event;
-  record_obs t ?key:req.key ~rows ~flight_outcome ~statement_outcome event view;
+  record_obs t ?key:req.key ~rows ~flight_outcome ~statement_outcome event view
+
+(* The one exit of every query-op request: its bookkeeping, then its reply. *)
+let conclude t req outcome =
+  settle t req outcome;
   reply req outcome
 
 (* EXPLAIN ANALYZE: execute the plan and render per-operator row counts and
@@ -777,7 +795,7 @@ let memoised t root ~sql =
   let hit = Cache.find t.canon_memo ~key:sql in
   if Option.is_some hit then
     Option.iter (fun r -> Span.finish (Span.enter ~start_ns r "canon")) root;
-  hit
+  Option.map (fun m -> m.canonical) hit
 
 (* Factor into a releasable core + post-processing suffix, and memoise it on
    the text. The store is keyed on the core, so every HAVING/ORDER BY/LIMIT/
@@ -794,7 +812,7 @@ let canonicalize t req ~sql ast =
         | Some f -> Factored f
         | None -> Whole { canon = Canon.cache_key ast; ast }
       in
-      Cache.add t.canon_memo ~key:sql c;
+      Cache.add t.canon_memo ~key:sql { canonical = c; last_hit = Atomic.make None };
       c)
 
 (* The analyst-visible answer for a stored (or just-minted) release:
@@ -802,12 +820,12 @@ let canonicalize t req ~sql ast =
    (restoring output names, order and arithmetic); everything else is
    served verbatim. Suffix evaluation is deterministic, so a replay of the
    same entry always reproduces the same bytes. *)
-let answer how fact ~remaining (entry : Release_store.entry) =
+let answer how fact (entry : Release_store.entry) =
   match (fact : Flex_sql.Factor.t option) with
-  | None -> Answered { how; entry; columns = entry.columns; rows = entry.rows; remaining }
+  | None -> Answered { how; entry; columns = entry.columns; rows = entry.rows }
   | Some f -> (
     match Flex.post_process f.suffix ~columns:entry.columns entry.rows with
-    | rs -> Answered { how; entry; columns = rs.columns; rows = rs.rows; remaining }
+    | rs -> Answered { how; entry; columns = rs.columns; rows = rs.rows }
     | exception (Flex_engine.Eval.Error _ | Flex_engine.Compiled.Error _) ->
       rejected
         (Errors.Analysis_error
@@ -815,23 +833,32 @@ let answer how fact ~remaining (entry : Release_store.entry) =
            | `Granted -> "post-processing suffix failed on the released core"
            | `Replayed | `Derived -> "post-processing suffix failed on the stored release")))
 
+let factoring = function Factored f -> Some f | Whole _ -> None
+
+(* A store hit reports the analyst's remaining budget, and charges nothing. *)
+let note_hit t req ~analyst =
+  req.cache_hit <- true;
+  req.remaining <- Option.value ~default:(0.0, 0.0) (Ledger.remaining t.ledger ~analyst)
+
+(* A store hit on [entry] from [analyst]: a derivation when the text's
+   suffix does more than restate the core, a replay otherwise. *)
+let hit t req ~analyst canonical entry =
+  note_hit t req ~analyst;
+  let fact = factoring canonical in
+  let how =
+    match fact with Some f when not (Flex_sql.Factor.trivial f) -> `Derived | _ -> `Replayed
+  in
+  answer how fact entry
+
 (* Zero-budget answer: the core's bytes already left the server for this
    (core, budget, epoch, mechanism); replaying them — or evaluating a
    post-processing suffix over them — touches no database, RNG or ledger. *)
-let replay t req ~analyst fact release_key =
+let replay t req ~analyst canonical release_key =
   match t.release_store with
   | None -> None
   | Some store ->
     Span.timed req.root "replay" (fun _ -> Release_store.find store release_key)
-    |> Option.map (fun entry ->
-           req.cache_hit <- true;
-           let how =
-             match fact with
-             | Some f when not (Flex_sql.Factor.trivial f) -> `Derived
-             | _ -> `Replayed
-           in
-           answer how fact entry
-             ~remaining:(Option.value ~default:(0.0, 0.0) (Ledger.remaining t.ledger ~analyst)))
+    |> Option.map (hit t req ~analyst canonical)
 
 (* A canonical query to its outcome; each [let*] is a stage that either
    hands on its result or ends the request. *)
@@ -843,12 +870,10 @@ let run_query t session req ~analyst ~epsilon ~delta canonical =
      queries (paying once for all its base aggregates), the original AST
      otherwise. *)
   let canon = canon_key canonical in
-  let fact, exec_ast =
-    match canonical with Factored f -> (Some f, f.core) | Whole { ast; _ } -> (None, ast)
-  in
+  let exec_ast = match canonical with Factored f -> f.core | Whole { ast; _ } -> ast in
   req.key <- Some canon;
   let release_key = release_key ~fingerprint options canonical in
-  match replay t req ~analyst fact release_key with
+  match replay t req ~analyst canonical release_key with
   | Some answered -> answered
   | None ->
     let analyzed, cache_hit =
@@ -913,7 +938,8 @@ let run_query t session req ~analyst ~epsilon ~delta canonical =
       | None -> entry
       | Some store -> Release_store.record store entry
     in
-    answer `Granted fact ~remaining stored
+    req.remaining <- remaining;
+    answer `Granted (factoring canonical) stored
 
 (* An exception anywhere past admission fails the request through
    [conclude], audited with whatever it had been charged; [handle]'s
@@ -1113,24 +1139,74 @@ let handle t session req =
 
 let session_analyst (s : session) = s.analyst
 
-(* Whether [handle] would answer [req] from the release store, at zero
-   budget: a query from a session with an analyst, at an admissible privacy
-   level, whose text is in the canon memo and whose release is stored. The
-   lookups count nothing, and neither the rate limiter nor the audit log is
-   consulted, so a request turned away leaves no trace of the look. *)
-let store_hit t session (req : Wire.request) =
+(* A probed store hit, served from the entry the probe found: the stages
+   [handle_query] runs on it, bar the second lookup. The token bucket comes
+   first, as in [admit]; then the memo and store hits are counted and one
+   [settle] books the answer. The reply is spliced from the text's last
+   encoded answer when that was computed from this very entry; otherwise
+   the answer is computed, encoded and kept for the next hit. *)
+let serve_hit t ~analyst ~sql ~id ~epsilon ~delta root memo store entry =
+  match admit t ~analyst ~epsilon ~delta with
+  | Error outcome -> Wire.response_to_line ?id (conclude t (request ?id ~analyst ~sql ()) outcome)
+  | Ok () -> (
+    Cache.count_hit t.canon_memo;
+    Release_store.count_hit store;
+    let req = request ?id ?root ~analyst ~sql () in
+    req.key <- Some (canon_key memo.canonical);
+    let outcome, line =
+      try
+        match Atomic.get memo.last_hit with
+        | Some (a, line) when a.entry == entry ->
+          note_hit t req ~analyst;
+          (Answered a, Some line)
+        | _ -> (
+          match hit t req ~analyst memo.canonical entry with
+          | Answered a as outcome ->
+            let line = Wire.encode_result (reply req outcome) in
+            Atomic.set memo.last_hit (Some (a, line));
+            (outcome, Some line)
+          | outcome -> (outcome, None))
+      with exn -> (failed exn, None)
+    in
+    settle t req outcome;
+    match line with
+    | Some line ->
+      let remaining_epsilon, remaining_delta = req.remaining in
+      Wire.splice ?id ~remaining_epsilon ~remaining_delta line
+    | None -> Wire.response_to_line ?id (reply req outcome))
+
+let answer_hit t session (req : Wire.request) =
   match (req, session.analyst, t.release_store) with
-  | Query { sql; epsilon; delta; _ }, Some _, Some store -> (
+  | Query { sql; epsilon; delta; id }, Some analyst, Some store -> (
     let epsilon, delta = privacy_level t ~epsilon ~delta in
-    Result.is_ok (validate_privacy t ~epsilon ~delta)
-    &&
-    match Cache.peek t.canon_memo ~key:sql with
-    | None -> false
-    | Some canonical ->
-      let _, _, fingerprint = epoch t in
-      Release_store.mem store
-        (release_key ~fingerprint (options_for t ~epsilon ~delta) canonical))
-  | _ -> false
+    try
+      if Result.is_error (validate_privacy t ~epsilon ~delta) then None
+      else
+        let start_ns = Clock.now_ns () in
+        match Cache.peek t.canon_memo ~key:sql with
+        | None -> None
+        | Some memo -> (
+          (* the trace starts once the text is known to be memoised, dated
+             back to the peek that its canon span records *)
+          let root =
+            if t.config.telemetry then begin
+              let end_ns = Clock.now_ns () in
+              let r = Span.root ~start_ns "query" in
+              Span.finish ~end_ns (Span.enter ~start_ns r "canon");
+              Some r
+            end
+            else None
+          in
+          let _, _, fingerprint = epoch t in
+          let key = release_key ~fingerprint (options_for t ~epsilon ~delta) memo.canonical in
+          match Span.timed root "replay" (fun _ -> Release_store.peek store key) with
+          | None -> None
+          | Some entry ->
+            Some (serve_hit t ~analyst ~sql ~id ~epsilon ~delta root memo store entry))
+    with exn ->
+      let reason = "internal error: " ^ Printexc.to_string exn in
+      Some (Wire.response_to_line ?id (Wire.Error_msg reason)))
+  | _ -> None
 
 (* The reactor sheds a request it never SQL-parsed (worker queue full): it
    concludes like every other admission decision, and the reactor sends its

@@ -152,18 +152,32 @@ val log_overload : t -> analyst:string option -> line:string -> unit
 val handle : t -> session -> Wire.request -> Wire.response
 (** Serve one request. Never raises. *)
 
-val store_hit : t -> session -> Wire.request -> bool
-(** Whether {!handle} would answer [req] from the release store at zero
-    budget — a replay or a derivation: a [Query] from a session that has
-    sent [hello], at an admissible privacy level, whose SQL text is in the
-    canon memo and whose release is stored. This is how {!Reactor} picks
-    the requests it answers on its own thread. The probe has no side
-    effects: it moves no canon-memo, release-store or analysis-cache
-    counter, spends no rate-limit token and audits nothing. [handle] still
-    runs admission and rate limiting, so a rate-limited hit is rejected
-    there; and a release evicted (or a text dropped from the canon memo)
-    between the probe and [handle] is simply a miss that runs the full
-    pipeline. Never raises. *)
+val answer_hit : t -> session -> Wire.request -> string option
+(** Answer [req] if it is a release-store hit, and return its reply line
+    (no newline): [Some] for a [Query] from a session that has sent
+    [hello], at an admissible privacy level, whose SQL text is in the canon
+    memo and whose release is stored; [None] for anything else. This is
+    how {!Reactor} picks the requests it answers on its own thread.
+
+    One probe decides: the memo and the store are looked up once, counting
+    nothing, so a [None] moves no canon-memo, release-store or
+    analysis-cache counter, spends no rate-limit token and audits nothing.
+    A hit is then served from the stored entry the probe found, through
+    the stages {!handle} runs on the same request: admission and the
+    token bucket (a rate-limited hit is [Some] rejection), a counted memo
+    hit and store hit, the span tree, one audit event and one flight
+    record. Its reply is byte for byte what
+    [Wire.response_to_line ?id (handle t session req)] would have been.
+    Since the entry is in hand, a release evicted or stranded by
+    {!refresh_data} after the probe is still served from that entry, as a
+    request already past the probe in {!handle} is.
+
+    Each memoised text keeps the last answer a hit on it served, encoded
+    ({!Wire.encode_result}) and tagged with the entry it was computed
+    from. A hit on that same entry splices its remaining budget and id
+    into the encoding ({!Wire.splice}); post-processing and encoding run
+    only when the text meets a new release. So the memo holds at most one
+    answer per text. Never raises. *)
 
 type 'a counts = {
   queries : 'a;
@@ -192,10 +206,11 @@ type counters = int counts
 val counters : t -> counters
 val cache : t -> (Flex_core.Elastic.analysis, Flex_core.Errors.reason) result Cache.t
 
-type canonical
-(** A memoised query text's canonical form (its factored core and suffix). *)
+type memo
+(** A memoised query text: its canonical form (its factored core and
+    suffix) and the last answer a store hit on it served, encoded. *)
 
-val canon_memo : t -> canonical Cache.t
+val canon_memo : t -> memo Cache.t
 (** The canon memo: raw SQL text to canonical form, looked up before
     parsing. Its hit and miss counts are the ones to watch. *)
 

@@ -200,17 +200,19 @@ let request_of_json j =
 
 (* --- responses ---------------------------------------------------------------- *)
 
-let response_to_json = function
+(* A [Result]'s fields in wire order: those before its remaining budget, the
+   remaining budget, and those after it. *)
+let result_fields = function
   | Result r ->
-    Json.Obj
-      [
+    ( [
         ("status", Json.str "result");
         ("columns", Json.List (List.map Json.str r.columns));
         ("rows", Json.List (List.map (fun row -> Json.List row) r.rows));
         ("epsilon_spent", Json.num r.epsilon_spent);
         ("delta_spent", Json.num r.delta_spent);
-        ("remaining_epsilon", Json.num r.remaining_epsilon);
-        ("remaining_delta", Json.num r.remaining_delta);
+      ],
+      (r.remaining_epsilon, r.remaining_delta),
+      [
         ("cache_hit", Json.bool r.cache_hit);
         ("cached", Json.bool r.cached);
         ("derived", Json.bool r.derived);
@@ -221,7 +223,19 @@ let response_to_json = function
                (fun (c, s) ->
                  Json.Obj [ ("column", Json.str c); ("scale", Json.num s) ])
                r.noise_scales) );
-      ]
+      ] )
+  | _ -> invalid_arg "Wire.result_fields: not a Result"
+
+let response_to_json = function
+  | Result _ as r ->
+    let before, (remaining_epsilon, remaining_delta), after = result_fields r in
+    Json.Obj
+      (before
+      @ [
+          ("remaining_epsilon", Json.num remaining_epsilon);
+          ("remaining_delta", Json.num remaining_delta);
+        ]
+      @ after)
   | Analysis a ->
     Json.Obj
       [
@@ -486,17 +500,43 @@ let request_of_line line =
   let* j = Json.of_string line in
   request_of_json j
 
-(* [id] echoes the client's correlation id as a top-level response field.
+(* A [Result] line encoded around the fields that change per request:
+   [head] runs up to the value of "remaining_epsilon", and [tail] from the
+   end of the value of "remaining_delta" up to where the id goes. *)
+type result_line = { head : string; tail : string }
+
+let field_text (k, v) = Json.to_string (Json.Str k) ^ ":" ^ Json.to_string v
+
+let encode_result r =
+  let before, _, after = result_fields r in
+  {
+    head = "{" ^ String.concat "," (List.map field_text before) ^ {|,"remaining_epsilon":|};
+    tail = String.concat "" (List.map (fun f -> "," ^ field_text f) after);
+  }
+
+(* [id] echoes the client's correlation id as the last top-level field.
    Decoders only read the fields they name, so an older client simply never
    sees it. *)
+let splice ?id ~remaining_epsilon ~remaining_delta { head; tail } =
+  String.concat ""
+    [
+      head;
+      Json.to_string (Json.Num remaining_epsilon);
+      {|,"remaining_delta":|};
+      Json.to_string (Json.Num remaining_delta);
+      tail;
+      (match id with Some id -> {|,"id":|} ^ Json.to_string (Json.Str id) | None -> "");
+      "}";
+    ]
+
 let response_to_line ?id r =
-  let j = response_to_json r in
-  let j =
-    match (id, j) with
-    | Some id, Json.Obj fields -> Json.Obj (fields @ [ ("id", Json.str id) ])
-    | _ -> j
-  in
-  Json.to_string j
+  match r with
+  | Result { remaining_epsilon; remaining_delta; _ } ->
+    splice ?id ~remaining_epsilon ~remaining_delta (encode_result r)
+  | _ -> (
+    match (id, response_to_json r) with
+    | Some id, Json.Obj fields -> Json.to_string (Json.Obj (fields @ [ ("id", Json.str id) ]))
+    | _, j -> Json.to_string j)
 
 let response_of_line line =
   let* j = Json.of_string line in

@@ -129,7 +129,23 @@ val request_of_line : string -> (request, string) result
 
 val response_to_line : ?id:string -> response -> string
 (** [id] (the request's correlation id) is appended as a top-level ["id"]
-    field; decoders that don't know it ignore it. *)
+    field; decoders that don't know it ignore it. A [Result] is encoded by
+    {!encode_result} and {!splice}. *)
+
+type result_line
+(** A [Result] line encoded once, around the three fields that change from
+    one request to the next: [remaining_epsilon], [remaining_delta] and
+    [id]. It holds the encoded text of every other field. *)
+
+val encode_result : response -> result_line
+(** Encode a [Result] without its remaining budget.
+    @raise Invalid_argument on any other response. *)
+
+val splice :
+  ?id:string -> remaining_epsilon:float -> remaining_delta:float -> result_line -> string
+(** The reply line: byte for byte [response_to_line ?id (Result r)] for the
+    [r] the encoding came from, with its remaining budget replaced by these
+    values. *)
 
 val response_of_line : string -> (response, string) result
 

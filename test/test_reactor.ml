@@ -120,11 +120,12 @@ let fixture =
     (Flex_workload.Uber.generate ~sizes:Flex_workload.Uber.small_sizes
        (Rng.create ~seed:7 ()))
 
-let make_server ?audit ?config ?ledger () =
+let make_server ?audit ?config ?ledger ?release_store () =
   let db, metrics = Lazy.force fixture in
   let ledger = match ledger with Some l -> l | None -> Ledger.in_memory () in
   let server =
-    Server.create ?audit ?config ~db ~metrics ~ledger ~rng:(Rng.create ~seed:11 ()) ()
+    Server.create ?audit ?config ?release_store ~db ~metrics ~ledger
+      ~rng:(Rng.create ~seed:11 ()) ()
   in
   (server, ledger)
 
@@ -713,6 +714,152 @@ let untimed_events buf =
                    fields))
          | _ -> Alcotest.fail "audit line is not an object")
 
+let other_sql = "SELECT d.vehicle, COUNT(*) FROM drivers d GROUP BY d.vehicle"
+
+(* One step of a twin-server script: a request on a numbered connection
+   with the outcome its reply must have, or a data reload on both servers
+   (a database with another seed, hence a new fingerprint). *)
+type step = Send of int * Wire.request * string | Reload
+
+let ask conn req expect = Send (conn, req, expect)
+
+let hello conn =
+  let analyst = Printf.sprintf "a%d" conn in
+  ask conn (Wire.Hello { analyst; epsilon = None; delta = None }) "budget"
+
+let reloaded =
+  lazy
+    (Flex_workload.Uber.generate ~sizes:Flex_workload.Uber.small_sizes
+       (Rng.create ~seed:8 ()))
+
+let reload server =
+  let db, metrics = Lazy.force reloaded in
+  ignore (Server.refresh_data server ~db ~metrics)
+
+let kind = function
+  | Wire.Result r ->
+    if r.derived then "derived" else if r.cached then "replayed" else "granted"
+  | Wire.Rejected r -> "rejected:" ^ r.bucket
+  | Wire.Error_msg _ -> "error"
+  | Wire.Plan_report _ -> "plan"
+  | Wire.Budget_report _ -> "budget"
+  | other -> Wire.response_to_line other
+
+(* Run [steps] through [Server.handle] on one server and over a reactor on
+   a twin, then check that each reply has its expected outcome and that
+   the twins agree on every reply byte, audit event, flight record and
+   request counter, and on the release store's, the canon memo's and the
+   analysis cache's hits and misses; exactly [reactor_hits] requests must
+   have been answered on the reactor thread. *)
+let twin_differential ?config ?store_capacity ~reactor_hits steps =
+  let make () =
+    let buf = Buffer.create 1024 in
+    let release_store =
+      Option.map (fun capacity -> Release_store.create ~capacity ()) store_capacity
+    in
+    let server, _ = make_server ~audit:(Audit.to_buffer buf) ?config ?release_store () in
+    (server, buf)
+  in
+  let sends = List.filter_map (function Send (c, r, e) -> Some (c, r, e) | Reload -> None) steps in
+  let run_direct () =
+    let server, buf = make () in
+    let sessions = Hashtbl.create 8 in
+    let replies =
+      List.concat_map
+        (function
+          | Reload ->
+            reload server;
+            []
+          | Send (conn, req, _) ->
+            let session =
+              match Hashtbl.find_opt sessions conn with
+              | Some s -> s
+              | None ->
+                let s = Server.session server in
+                Hashtbl.replace sessions conn s;
+                s
+            in
+            [ Wire.response_to_line ?id:(Wire.request_id req) (Server.handle server session req) ])
+        steps
+    in
+    (server, buf, replies)
+  in
+  let run_reactor () =
+    let server, buf = make () in
+    let replies, answered =
+      with_reactor server (fun r ->
+          let conns = Hashtbl.create 8 in
+          let replies =
+            List.concat_map
+              (function
+                | Reload ->
+                  reload server;
+                  []
+                | Send (conn, req, _) ->
+                  (* connections open in first-use order, each served
+                     before the next opens, so sessions split the RNG in
+                     the same order as [run_direct] *)
+                  let fd, next =
+                    match Hashtbl.find_opt conns conn with
+                    | Some c -> c
+                    | None ->
+                      let fd = connect (Reactor.port r) in
+                      (* a reactor thread that died fails the test instead
+                         of hanging it *)
+                      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+                      let c = (fd, reader fd) in
+                      Hashtbl.replace conns conn c;
+                      c
+                  in
+                  send fd req;
+                  [ raw_line next ])
+              steps
+          in
+          Hashtbl.iter (fun _ (fd, _) -> Unix.close fd) conns;
+          (replies, (Reactor.stats r).answered_total))
+    in
+    (server, buf, replies, answered)
+  in
+  let direct, direct_audit, direct_replies = run_direct () in
+  let reactor, reactor_audit, reactor_replies, answered = run_reactor () in
+  Alcotest.(check int) "hits answered on the reactor" reactor_hits answered;
+  List.iter2
+    (fun (_, req, expect) (d, r) ->
+      let what = Wire.request_to_line req in
+      Alcotest.(check string) ("outcome of " ^ what) expect
+        (kind (Result.get_ok (Wire.response_of_line d)));
+      Alcotest.(check string) ("reply to " ^ what) d r)
+    sends
+    (List.combine direct_replies reactor_replies);
+  Alcotest.(check (list string)) "audit events" (untimed_events direct_audit)
+    (untimed_events reactor_audit);
+  let flights server =
+    List.map
+      (fun (f : Flex_obs.Flight.record) ->
+        ( f.seq,
+          (f.id, f.analyst, f.sql, f.key, f.outcome),
+          ( f.epsilon,
+            f.delta,
+            Option.map
+              (fun (v : Flex_obs.Span.view) ->
+                List.map (fun (c : Flex_obs.Span.view) -> c.name) v.children)
+              f.trace ) ))
+      (Flex_obs.Flight.snapshot (Option.get (Server.flights server)))
+  in
+  Alcotest.(check bool) "flight records" true (flights direct = flights reactor);
+  Alcotest.(check bool) "request counters" true
+    (Server.counters direct = Server.counters reactor);
+  let store server = Option.get (Server.release_store server) in
+  let rs_direct = Release_store.stats (store direct)
+  and rs_reactor = Release_store.stats (store reactor) in
+  Alcotest.(check (pair int int)) "release-store hits and misses"
+    (rs_direct.hits, rs_direct.misses) (rs_reactor.hits, rs_reactor.misses);
+  let counts c = (Cache.hits c, Cache.misses c) in
+  Alcotest.(check (pair int int)) "canon-memo hits and misses"
+    (counts (Server.canon_memo direct)) (counts (Server.canon_memo reactor));
+  Alcotest.(check (pair int int)) "analysis-cache hits and misses"
+    (counts (Server.cache direct)) (counts (Server.cache reactor))
+
 let hit_path_tests =
   [
     Alcotest.test_case "replays and derivations are answered on the reactor thread" `Quick
@@ -776,140 +923,149 @@ let hit_path_tests =
         (* one token per analyst and no refill to speak of: an analyst's
            second query is rate limited, on both servers alike *)
         let config = { Server.default_config with rate_limit_qps = Some 1e-6 } in
-        let hello conn =
-          let analyst = Printf.sprintf "a%d" conn in
-          (conn, Wire.Hello { analyst; epsilon = None; delta = None }, "budget")
-        in
-        let steps =
-          [
-            hello 0;
-            (0, query ~id:"miss" ~epsilon:0.5 core_sql, "granted");
-            (0, query ~id:"limited-hit" ~epsilon:0.5 core_sql, "rejected:rate_limit");
-            hello 1;
-            (1, query ~id:"replay" ~epsilon:0.5 core_sql, "replayed");
-            hello 2;
-            (2, query ~id:"first-derivation" ~epsilon:0.5 derived_sql, "derived");
-            hello 3;
-            (3, query ~id:"derivation" ~epsilon:0.5 derived_sql, "derived");
-            hello 4;
-            (4, query ~id:"epsilon-over-cap" ~epsilon:50.0 core_sql, "rejected:admission");
-            hello 9;
-            (9, query ~id:"zero-epsilon" ~epsilon:0.0 core_sql, "rejected:admission");
-            (5, query ~id:"before-hello" ~epsilon:0.5 core_sql, "error");
-            hello 6;
-            (6, query ~id:"explain" ("EXPLAIN " ^ core_sql), "plan");
-            hello 7;
-            (7, query ~id:"parse-error" "SELEC nonsense", "rejected:parse");
-            hello 8;
-            (8, query ~id:"second-miss" ~epsilon:0.25 core_sql, "granted");
-            (1, query ~id:"limited-replay" ~epsilon:0.5 core_sql, "rejected:rate_limit");
-          ]
-        in
-        let kind = function
-          | Wire.Result r ->
-            if r.derived then "derived" else if r.cached then "replayed" else "granted"
-          | Wire.Rejected r -> "rejected:" ^ r.bucket
-          | Wire.Error_msg _ -> "error"
-          | Wire.Plan_report _ -> "plan"
-          | Wire.Budget_report _ -> "budget"
-          | other -> Wire.response_to_line other
-        in
         (* [handle] on the reactor thread: the rate-limited hits, the replay
            and the second derivation *)
-        let reactor_hits = 4 in
-        let run_direct () =
-          let buf = Buffer.create 1024 in
-          let server, _ = make_server ~audit:(Audit.to_buffer buf) ~config () in
-          let sessions = Hashtbl.create 8 in
-          let replies =
-            List.map
-              (fun (conn, req, _) ->
-                let session =
-                  match Hashtbl.find_opt sessions conn with
-                  | Some s -> s
-                  | None ->
-                    let s = Server.session server in
-                    Hashtbl.replace sessions conn s;
-                    s
-                in
-                Wire.response_to_line ?id:(Wire.request_id req)
-                  (Server.handle server session req))
-              steps
-          in
-          (server, buf, replies)
+        twin_differential ~config ~reactor_hits:4
+          [
+            hello 0;
+            ask 0 (query ~id:"miss" ~epsilon:0.5 core_sql) "granted";
+            ask 0 (query ~id:"limited-hit" ~epsilon:0.5 core_sql) "rejected:rate_limit";
+            hello 1;
+            ask 1 (query ~id:"replay" ~epsilon:0.5 core_sql) "replayed";
+            hello 2;
+            ask 2 (query ~id:"first-derivation" ~epsilon:0.5 derived_sql) "derived";
+            hello 3;
+            ask 3 (query ~id:"derivation" ~epsilon:0.5 derived_sql) "derived";
+            hello 4;
+            ask 4 (query ~id:"epsilon-over-cap" ~epsilon:50.0 core_sql) "rejected:admission";
+            hello 9;
+            ask 9 (query ~id:"zero-epsilon" ~epsilon:0.0 core_sql) "rejected:admission";
+            ask 5 (query ~id:"before-hello" ~epsilon:0.5 core_sql) "error";
+            hello 6;
+            ask 6 (query ~id:"explain" ("EXPLAIN " ^ core_sql)) "plan";
+            hello 7;
+            ask 7 (query ~id:"parse-error" "SELEC nonsense") "rejected:parse";
+            hello 8;
+            ask 8 (query ~id:"second-miss" ~epsilon:0.25 core_sql) "granted";
+            ask 1 (query ~id:"limited-replay" ~epsilon:0.5 core_sql) "rejected:rate_limit";
+          ]);
+    Alcotest.test_case
+      "encoded-once answers: per-request budgets and escaped ids, one text at two \
+       epsilons"
+      `Quick (fun () ->
+        (* a0 and a1 pay different epsilons, so their remaining budgets
+           differ in every hit they share *)
+        let ids = [| "q\"uote"; "back\\slash"; "ctl\x01\t"; "d\xc3\xa9j\xc3\xa0 \xe6\x97\xa5" |] in
+        let hits conn sql ~epsilon expect tag =
+          List.init 3 (fun i ->
+              ask conn
+                (query ~id:(Printf.sprintf "%s%d %s" tag i ids.((conn + i) mod 4)) ~epsilon sql)
+                expect)
         in
-        let run_reactor () =
-          let buf = Buffer.create 1024 in
-          let server, _ = make_server ~audit:(Audit.to_buffer buf) ~config () in
-          let replies, answered =
-            with_reactor server (fun r ->
-                let conns = Hashtbl.create 8 in
-                let replies =
-                  List.map
-                    (fun (conn, req, _) ->
-                      (* connections open in first-use order, each served
-                         before the next opens, so sessions split the RNG in
-                         the same order as [run_direct] *)
-                      let fd, next =
-                        match Hashtbl.find_opt conns conn with
-                        | Some c -> c
-                        | None ->
-                          let fd = connect (Reactor.port r) in
-                          (* a reactor thread that died fails the test
-                             instead of hanging it *)
-                          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-                          let c = (fd, reader fd) in
-                          Hashtbl.replace conns conn c;
-                          c
-                      in
-                      send fd req;
-                      raw_line next)
-                    steps
-                in
-                Hashtbl.iter (fun _ (fd, _) -> Unix.close fd) conns;
-                (replies, (Reactor.stats r).answered_total))
-          in
-          (server, buf, replies, answered)
-        in
-        let direct, direct_audit, direct_replies = run_direct () in
-        let reactor, reactor_audit, reactor_replies, answered = run_reactor () in
-        Alcotest.(check int) "hits answered on the reactor" reactor_hits answered;
-        List.iter2
-          (fun (_, req, expect) (d, r) ->
-            let what = Wire.request_to_line req in
-            Alcotest.(check string) ("outcome of " ^ what) expect
-              (kind (Result.get_ok (Wire.response_of_line d)));
-            Alcotest.(check string) ("reply to " ^ what) d r)
-          steps
-          (List.combine direct_replies reactor_replies);
-        Alcotest.(check (list string)) "audit events" (untimed_events direct_audit)
-          (untimed_events reactor_audit);
-        let flights server =
-          List.map
-            (fun (f : Flex_obs.Flight.record) ->
-              ( f.seq,
-                (f.id, f.analyst, f.sql, f.key, f.outcome),
-                ( f.epsilon,
-                  f.delta,
-                  Option.map
-                    (fun (v : Flex_obs.Span.view) ->
-                      List.map (fun (c : Flex_obs.Span.view) -> c.name) v.children)
-                    f.trace ) ))
-            (Flex_obs.Flight.snapshot (Option.get (Server.flights server)))
-        in
-        Alcotest.(check bool) "flight records" true (flights direct = flights reactor);
-        Alcotest.(check bool) "request counters" true
-          (Server.counters direct = Server.counters reactor);
-        let store server = Option.get (Server.release_store server) in
-        let rs_direct = Release_store.stats (store direct)
-        and rs_reactor = Release_store.stats (store reactor) in
-        Alcotest.(check (pair int int)) "release-store hits and misses"
-          (rs_direct.hits, rs_direct.misses) (rs_reactor.hits, rs_reactor.misses);
-        let counts c = (Cache.hits c, Cache.misses c) in
-        Alcotest.(check (pair int int)) "canon-memo hits and misses"
-          (counts (Server.canon_memo direct)) (counts (Server.canon_memo reactor));
-        Alcotest.(check (pair int int)) "analysis-cache hits and misses"
-          (counts (Server.cache direct)) (counts (Server.cache reactor)));
+        twin_differential ~reactor_hits:22
+          ([
+             hello 0;
+             hello 1;
+             ask 0 (query ~id:"pay" ~epsilon:0.5 core_sql) "granted";
+             ask 1 (query ~id:"pay-other" ~epsilon:0.25 other_sql) "granted";
+           ]
+          @ hits 0 core_sql ~epsilon:0.5 "replayed" "r"
+          @ hits 1 core_sql ~epsilon:0.5 "replayed" "r"
+          @ [ ask 1 (query ~id:"first" ~epsilon:0.5 derived_sql) "derived" ]
+          @ hits 0 derived_sql ~epsilon:0.5 "derived" "d"
+          @ hits 1 derived_sql ~epsilon:0.5 "derived" "d"
+          @ [ ask 0 (query ~id:"pay-0.25" ~epsilon:0.25 core_sql) "granted" ]
+          @ List.concat
+              (List.init 5 (fun i ->
+                   let conn = i mod 2 in
+                   [
+                     ask conn (query ~id:(Printf.sprintf "a%d" i) ~epsilon:0.25 core_sql)
+                       "replayed";
+                     ask conn (query ~id:(Printf.sprintf "b%d" i) ~epsilon:0.5 core_sql)
+                       "replayed";
+                   ]))));
+    Alcotest.test_case
+      "a data reload between hits: the old answer is never served, the next request \
+       is charged on a worker"
+      `Quick (fun () ->
+        twin_differential ~reactor_hits:6
+          [
+            hello 0;
+            ask 0 (query ~id:"pay" ~epsilon:0.5 core_sql) "granted";
+            ask 0 (query ~id:"r1" ~epsilon:0.5 core_sql) "replayed";
+            ask 0 (query ~id:"r2" ~epsilon:0.5 core_sql) "replayed";
+            ask 0 (query ~id:"first" ~epsilon:0.5 derived_sql) "derived";
+            ask 0 (query ~id:"d1" ~epsilon:0.5 derived_sql) "derived";
+            Reload;
+            ask 0 (query ~id:"pay-again" ~epsilon:0.5 core_sql) "granted";
+            ask 0 (query ~id:"r3" ~epsilon:0.5 core_sql) "replayed";
+            ask 0 (query ~id:"d2" ~epsilon:0.5 derived_sql) "derived";
+            ask 0 (query ~id:"d3" ~epsilon:0.5 derived_sql) "derived";
+          ]);
+    Alcotest.test_case
+      "an eviction between hits: a release paid again is served, not the evicted one"
+      `Quick (fun () ->
+        twin_differential ~store_capacity:1 ~reactor_hits:5
+          [
+            hello 0;
+            ask 0 (query ~id:"pay" ~epsilon:0.5 core_sql) "granted";
+            ask 0 (query ~id:"r1" ~epsilon:0.5 core_sql) "replayed";
+            ask 0 (query ~id:"first" ~epsilon:0.5 derived_sql) "derived";
+            ask 0 (query ~id:"d1" ~epsilon:0.5 derived_sql) "derived";
+            ask 0 (query ~id:"evict" ~epsilon:0.5 other_sql) "granted";
+            ask 0 (query ~id:"pay-again" ~epsilon:0.5 core_sql) "granted";
+            ask 0 (query ~id:"r2" ~epsilon:0.5 core_sql) "replayed";
+            ask 0 (query ~id:"d2" ~epsilon:0.5 derived_sql) "derived";
+            ask 0 (query ~id:"r3" ~epsilon:0.5 core_sql) "replayed";
+          ]);
+    Alcotest.test_case "200 pipelined hits behind a full socket arrive whole and in order"
+      `Quick (fun () ->
+        let server, _ = make_server () in
+        (* a connection whose unwritten replies pass 8 KiB is not served
+           until they drain, and only a short write leaves any unwritten *)
+        let config = { Reactor.default_config with max_output_bytes = 8192 } in
+        with_reactor ~config server (fun r ->
+            let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+            Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+            Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Reactor.port r));
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            let next = reader fd in
+            send fd (Wire.Hello { analyst = "alice"; epsilon = None; delta = None });
+            ignore (recv next);
+            ignore (send fd (query ~epsilon:0.5 core_sql); recv next);
+            (* 40 KB ids make 8 MB of replies, twice the most a Linux socket's
+               send buffer grows to by default (net.ipv4.tcp_wmem), so the
+               reactor's writes must come up short *)
+            let n = 200 and pad = String.make 40_000 'x' in
+            let id i = Printf.sprintf "%03d-%s" i pad in
+            let before = (Reactor.stats r).answered_total in
+            let burst =
+              String.concat ""
+                (List.init n (fun i ->
+                     Wire.request_to_line (query ~id:(id i) ~epsilon:0.5 core_sql) ^ "\n"))
+            in
+            let sender = Thread.create (fun () -> send_string fd burst) () in
+            (* the client reads nothing until the reactor stops answering *)
+            let rec stalled last =
+              Thread.delay 0.05;
+              let now = (Reactor.stats r).answered_total in
+              if now = last then now - before else stalled now
+            in
+            let answered = stalled before in
+            if answered >= n then
+              Alcotest.failf "all %d replies were written without blocking" answered;
+            for i = 0 to n - 1 do
+              let line = raw_line next in
+              Alcotest.(check (option string)) "in order" (Some (id i))
+                (Wire.response_id_of_line line);
+              match Wire.response_of_line line with
+              | Ok (Wire.Result res) -> Alcotest.(check bool) "whole replay" true res.cached
+              | _ -> Alcotest.failf "reply %d: %s" i line
+            done;
+            Thread.join sender;
+            Alcotest.(check int) "every hit answered on the reactor" n
+              ((Reactor.stats r).answered_total - before);
+            Unix.close fd));
     Alcotest.test_case "a hostile nested line gets an error while hits keep flowing"
       `Quick (fun () ->
         let server, _ = make_server () in

@@ -82,8 +82,51 @@ let number_text_prop =
           (printf_number_string f)
       else true)
 
+(* Number tokens as the decoder sees them, a run of [0-9+-.eE]: plain
+   integers with a sign or none, zeros, 15 to 17 digits, fractions,
+   exponents, and junk from the same characters. *)
+let number_token_gen =
+  QCheck.Gen.(
+    let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
+    let sign = oneofl [ ""; "-"; "+" ] in
+    oneof
+      [
+        map2 ( ^ ) sign (digits 1 15);
+        map2 ( ^ ) sign (digits 15 17);
+        map2 ( ^ ) sign (map (fun n -> String.make n '0') (int_range 1 16));
+        map3 (fun s i f -> s ^ i ^ "." ^ f) sign (digits 0 4) (digits 0 4);
+        map3
+          (fun m e x -> m ^ e ^ x)
+          (map2 ( ^ ) sign (digits 1 6))
+          (oneofl [ "e"; "E"; "e+"; "e-"; "E-" ])
+          (digits 0 3);
+        string_size ~gen:(oneofl [ '0'; '7'; '-'; '+'; '.'; 'e'; 'E' ]) (int_range 0 8);
+      ])
+
+let number_decode_prop =
+  QCheck.Test.make ~name:"a number token decodes to float_of_string's bits, or fails with it"
+    ~count:20000 (QCheck.make ~print:Fun.id number_token_gen) (fun tok ->
+      match (Json.of_string tok, float_of_string_opt tok) with
+      | Ok (Json.Num f), Some g when Int64.bits_of_float f = Int64.bits_of_float g -> true
+      | Error _, None -> true
+      | got, want ->
+        QCheck.Test.fail_reportf "json %s, float_of_string %s"
+          (match got with Ok j -> Json.to_string j | Error e -> e)
+          (match want with Some g -> Printf.sprintf "%h" g | None -> "None"))
+
 let json_tests =
   [
+    QCheck_alcotest.to_alcotest number_decode_prop;
+    Alcotest.test_case "plain integers decode in place, -0 keeps its sign" `Quick (fun () ->
+        let bits = function
+          | Ok (Json.List vs) ->
+            List.map (function Json.Num f -> Int64.bits_of_float f | _ -> 0L) vs
+          | _ -> Alcotest.fail "not an array"
+        in
+        Alcotest.(check (list int64)) "values"
+          (List.map Int64.bits_of_float
+             [ -0.0; 0.0; 5.0; 7.0; -999999999999999.0; 1234567890123456.0; 12.5 ])
+          (bits (Json.of_string "[-0,+0,+5,007,-999999999999999,1234567890123456,12.5]")));
     Alcotest.test_case "escapes and unicode decode" `Quick (fun () ->
         let v = Json.Obj [ ("a b", Json.Str "x\"y\\z\n\t\x01") ] in
         Alcotest.(check bool) "round trip" true (Json.of_string (Json.to_string v) = Ok v);
@@ -328,6 +371,31 @@ let wire_tests =
             ~print:(fun r -> Wire.response_to_line r)
             gen_response)
          (fun r -> Wire.response_of_line (Wire.response_to_line r) = Ok r));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"a response line is its JSON object, the id last; a Result splices to it"
+         ~count:500
+         (QCheck.make
+            ~print:(fun (r, id, _) -> Wire.response_to_line ?id r)
+            QCheck.Gen.(
+              triple gen_response
+                (option (oneofl [ "7"; "q\"uote"; "back\\slash"; "ctl\x01\n"; "d\xc3\xa9j\xc3\xa0" ]))
+                (pair gen_pos_float gen_pos_float)))
+         (fun (r, id, (re, rd)) ->
+           let object_line r =
+             match (id, Wire.response_to_json r) with
+             | Some id, Json.Obj fields ->
+               Json.to_string (Json.Obj (fields @ [ ("id", Json.Str id) ]))
+             | _, j -> Json.to_string j
+           in
+           Wire.response_to_line ?id r = object_line r
+           &&
+           match r with
+           | Wire.Result x ->
+             let moved = Wire.Result { x with remaining_epsilon = re; remaining_delta = rd } in
+             Wire.splice ?id ~remaining_epsilon:re ~remaining_delta:rd (Wire.encode_result r)
+             = object_line moved
+           | _ -> true));
     Alcotest.test_case "unknown ops are typed errors" `Quick (fun () ->
         List.iter
           (fun line ->
@@ -1374,7 +1442,12 @@ let depth_tests =
             | Wire.Rejected r ->
               Alcotest.(check string) (shape ^ ": bucket") "parse" r.bucket;
               if not (Astring.String.is_infix ~affix:"deeper than 256 levels" r.reason) then
-                Alcotest.failf "%s: reason %s" shape r.reason
+                Alcotest.failf "%s: reason %s" shape r.reason;
+              (* the parser's message carries the prefix; it is not repeated *)
+              Alcotest.(check int) (shape ^ ": one parse-error prefix") 1
+                (List.length (Astring.String.cuts ~sep:"parse error at line" r.reason) - 1);
+              Alcotest.(check int) (shape ^ ": no other") 1
+                (List.length (Astring.String.cuts ~sep:"parse error" r.reason) - 1)
             | other -> Alcotest.failf "%s: %s" shape (Wire.response_to_line other));
             if elapsed >= 0.5 then Alcotest.failf "%s took %.3f s" shape elapsed)
           hostile_shapes;
