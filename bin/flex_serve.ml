@@ -190,7 +190,9 @@ let () =
              generation ever holds a torn JSON line). Unbounded when omitted.")
   in
   let sync =
-    Arg.(value & flag & info [ "sync" ] ~doc:"fsync the ledger after every grant.")
+    Arg.(
+      value & flag
+      & info [ "sync" ] ~doc:"fsync the ledger and release journals after every record.")
   in
   let epsilon =
     Arg.(

@@ -7,11 +7,10 @@
      analyst\t<name>\t<epsilon_limit>\t<delta_limit>
      spend\t<name>\t<epsilon>\t<delta>\t<label>
 
-   Write protocol: journal line -> flush (-> fsync when [sync]) -> in-memory
-   charge -> acknowledge. A crash can therefore lose an acknowledgement but
-   never a granted spend, which is the conservative direction for privacy
-   accounting. A crash mid-append leaves a torn final line; replay drops it
-   (it was never acknowledged). *)
+   Write protocol: journal line ([Journal.append]: flush, and fsync when
+   [sync]) -> in-memory charge -> acknowledge. A crash can therefore lose an
+   acknowledgement but never a granted spend, which is the conservative
+   direction for privacy accounting. *)
 
 type entry =
   | Register of { analyst : string; epsilon : float; delta : float }
@@ -45,9 +44,7 @@ let pp_error ppf = function
 let error_to_string e = Fmt.str "%a" pp_error e
 
 type t = {
-  mutable oc : out_channel option;
-  journal_path : string option;
-  sync : bool;
+  journal : Journal.t option;
   budgets : (string, Budget.t) Hashtbl.t;
   lock : Mutex.t;
 }
@@ -75,104 +72,43 @@ let entry_of_line line =
   match String.split_on_char '\t' line with
   | [ "analyst"; name; e; d ] -> (
     match (float_of_string_opt e, float_of_string_opt d) with
-    | Some epsilon, Some delta -> Some (Register { analyst = name; epsilon; delta })
-    | _ -> None)
+    | Some epsilon, Some delta -> Ok (Register { analyst = name; epsilon; delta })
+    | _ -> Error "malformed analyst record")
   | "spend" :: name :: e :: d :: rest -> (
     match (float_of_string_opt e, float_of_string_opt d) with
     | Some epsilon, Some delta ->
-      Some (Spend { analyst = name; epsilon; delta; label = String.concat "\t" rest })
-    | _ -> None)
-  | _ -> None
-
-(* Replay, streaming: [f] sees each entry in file order and only the
-   current line is held. A torn final line is tolerated: a malformed line
-   ends replay if it is the last one (crash mid-append), and is a
-   corruption error otherwise. Returns the length in bytes of the prefix
-   replayed, which leaves out a torn final line. *)
-let iter_file path f =
-  if not (Sys.file_exists path) then 0
-  else
-    In_channel.with_open_bin path (fun ic ->
-        let rec go () =
-          let start = In_channel.pos ic in
-          match In_channel.input_line ic with
-          | None -> start
-          | Some line when String.trim line = "" -> go ()
-          | Some line -> (
-            match entry_of_line line with
-            | Some e ->
-              f e;
-              go ()
-            | None ->
-              if Option.is_some (In_channel.input_line ic) then
-                Fmt.invalid_arg "Ledger: corrupt journal %s: %S" path line
-              else start)
-        in
-        Int64.to_int (go ()))
-
-let ends_in_newline path len =
-  len = 0
-  || In_channel.with_open_bin path (fun ic ->
-         In_channel.seek ic (Int64.of_int (len - 1));
-         In_channel.input_char ic = Some '\n')
+      Ok (Spend { analyst = name; epsilon; delta; label = String.concat "\t" rest })
+    | _ -> Error "malformed spend record")
+  | _ -> Error "not an analyst or spend record"
 
 (* --- state updates --------------------------------------------------------- *)
 
-let apply_entry t = function
+let apply_entry budgets = function
   | Register { analyst; epsilon; delta } ->
-    if not (Hashtbl.mem t.budgets analyst) then
-      Hashtbl.replace t.budgets analyst (Budget.create ~epsilon ~delta)
+    if not (Hashtbl.mem budgets analyst) then
+      Hashtbl.replace budgets analyst (Budget.create ~epsilon ~delta)
   | Spend { analyst; epsilon; delta; label } -> (
-    match Hashtbl.find_opt t.budgets analyst with
+    match Hashtbl.find_opt budgets analyst with
     | None -> Fmt.invalid_arg "Ledger: journal spend for unregistered analyst %S" analyst
     | Some b -> Budget.charge ~label b ~epsilon ~delta)
 
-let append t entry =
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-    output_string oc (line_of_entry entry ^ "\n");
-    flush oc;
-    if t.sync then Unix.fsync (Unix.descr_of_out_channel oc)
+let record t entry =
+  Option.iter (fun j -> Journal.append j (line_of_entry entry)) t.journal;
+  apply_entry t.budgets entry
 
 (* --- lifecycle ------------------------------------------------------------- *)
 
-let make ~path ~sync =
-  {
-    oc = None;
-    journal_path = path;
-    sync;
-    budgets = Hashtbl.create 16;
-    lock = Mutex.create ();
-  }
+let make journal budgets = { journal; budgets; lock = Mutex.create () }
 
-let open_ ?(sync = false) path =
-  let t = make ~path:(Some path) ~sync in
-  let replayed = iter_file path (apply_entry t) in
-  (* The next append must start a line of its own, or it would merge with
-     the last one and be lost on the next replay: cut off a torn record
-     replay skipped, and end with a newline a complete final record that
-     lost only its newline (replay counted that one, so it stays). *)
-  if Sys.file_exists path then Unix.truncate path replayed;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  if not (ends_in_newline path replayed) then begin
-    output_string oc "\n";
-    flush oc
-  end;
-  t.oc <- Some oc;
-  t
+let open_ ?sync path =
+  let budgets = Hashtbl.create 16 in
+  let journal = Journal.open_ ?sync path ~decode:entry_of_line (apply_entry budgets) in
+  make (Some journal) budgets
 
-let in_memory () = make ~path:None ~sync:false
+let in_memory () = make None (Hashtbl.create 16)
 
-let close t =
-  with_lock t (fun () ->
-      match t.oc with
-      | None -> ()
-      | Some oc ->
-        close_out oc;
-        t.oc <- None)
-
-let path t = t.journal_path
+let close t = with_lock t (fun () -> Option.iter Journal.close t.journal)
+let path t = Option.map Journal.path t.journal
 
 (* --- operations ------------------------------------------------------------ *)
 
@@ -193,9 +129,7 @@ let register t ~analyst ~epsilon ~delta =
             if limit_e = epsilon && limit_d = delta then Ok ()
             else Error (Already_registered { analyst; epsilon = limit_e; delta = limit_d })
           | None ->
-            let entry = Register { analyst; epsilon; delta } in
-            append t entry;
-            apply_entry t entry;
+            record t (Register { analyst; epsilon; delta });
             Ok ())
 
 (* The one admission decision [spend] and [check_spend] share, taken under
@@ -227,9 +161,7 @@ let spend t ~analyst ~epsilon ~delta ~label =
       match decide t ~analyst ~epsilon ~delta with
       | Error e -> Error e
       | Ok b ->
-        let entry = Spend { analyst; epsilon; delta; label = clean_label label } in
-        append t entry;
-        apply_entry t entry;
+        record t (Spend { analyst; epsilon; delta; label = clean_label label });
         Ok (Budget.remaining b))
 
 let check_spend t ~analyst ~epsilon ~delta =
@@ -287,6 +219,6 @@ let pp_summary ppf s =
     s.epsilon_spent s.epsilon_limit s.delta_spent s.delta_limit s.spend_count
 
 let summaries_of_file path =
-  let t = make ~path:(Some path) ~sync:false in
-  ignore (iter_file path (apply_entry t));
-  summaries t
+  let budgets = Hashtbl.create 16 in
+  Journal.iter path ~decode:entry_of_line (apply_entry budgets);
+  summaries (make None budgets)

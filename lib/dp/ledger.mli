@@ -43,10 +43,11 @@ val error_to_string : error -> string
 (** {2 Lifecycle} *)
 
 val open_ : ?sync:bool -> string -> t
-(** Replay the journal at the given path (tolerating a torn final line from
-    a crash mid-append) and open it for appending; the file is created when
-    absent. [sync] additionally fsyncs after every append (default: flush
-    only). *)
+(** Replay the journal at the given path and open it for appending, under
+    the {!Journal} discipline: the file is created when absent, a torn final
+    line from a crash mid-append is cut off, and interior corruption raises
+    [Invalid_argument]. [sync] additionally fsyncs after every append
+    (default: flush only). *)
 
 val in_memory : unit -> t
 (** A ledger with no journal — for tests and ephemeral servers. *)
@@ -108,4 +109,5 @@ val pp_summary : summary Fmt.t
 (** {2 Replay without opening for append} *)
 
 val summaries_of_file : string -> summary list
-(** What [flex_cli budget] prints (same torn-tail tolerance as [open_]). *)
+(** What [flex_cli budget] prints: the replay of [open_], which only reads
+    the file ({!Journal.iter}). *)

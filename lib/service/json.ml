@@ -304,6 +304,17 @@ let to_int = function
 
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List vs -> Some vs | _ -> None
+
+let required kind conv key j =
+  match Option.bind (mem key j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or non-%s field %S" kind key)
+
+let get_str = required "string" to_str
+let get_num = required "number" to_num
+let get_int = required "integer" to_int
+let get_bool = required "boolean" to_bool
+
 let str s = Str s
 let num f = Num f
 let int i = Num (float_of_int i)

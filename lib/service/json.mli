@@ -43,6 +43,16 @@ val to_int : t -> int option
 val to_bool : t -> bool option
 val to_list : t -> t list option
 
+(** {2 Required fields} (for decoders) *)
+
+val get_str : string -> t -> (string, string) result
+(** [get_str key j] is the string member [key] of object [j], or an error
+    naming [key] when it is missing or not a string; likewise below. *)
+
+val get_num : string -> t -> (float, string) result
+val get_int : string -> t -> (int, string) result
+val get_bool : string -> t -> (bool, string) result
+
 val str : string -> t
 val num : float -> t
 val int : int -> t

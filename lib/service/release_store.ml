@@ -4,6 +4,7 @@
    far shorter than the pipeline work they replace. *)
 
 module Value = Flex_engine.Value
+module Journal = Flex_dp.Journal
 
 type entry = {
   key : string;
@@ -39,9 +40,7 @@ type t = {
   counts : (string, int) Hashtbl.t;  (* analyst -> live entries *)
   capacity : int;
   mutable seq : int;
-  mutable oc : out_channel option;
-  journal_path : string option;
-  sync : bool;
+  mutable journal : Journal.t option;  (* set once, after replay *)
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -124,29 +123,14 @@ let json_of_entry (e : entry) =
 
 let ( let* ) = Result.bind
 
-let get_str k j =
-  match Option.bind (Json.mem k j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or non-string field %S" k)
-
-let get_num k j =
-  match Option.bind (Json.mem k j) Json.to_num with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "missing or non-number field %S" k)
-
-let get_bool k j =
-  match Option.bind (Json.mem k j) Json.to_bool with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "missing or non-boolean field %S" k)
-
 let entry_of_json j =
-  let* key = get_str "key" j in
-  let* fingerprint = get_str "fingerprint" j in
-  let* analyst = get_str "analyst" j in
-  let* epsilon = get_num "epsilon" j in
-  let* delta = get_num "delta" j in
-  let* epsilon_spent = get_num "epsilon_spent" j in
-  let* delta_spent = get_num "delta_spent" j in
+  let* key = Json.get_str "key" j in
+  let* fingerprint = Json.get_str "fingerprint" j in
+  let* analyst = Json.get_str "analyst" j in
+  let* epsilon = Json.get_num "epsilon" j in
+  let* delta = Json.get_num "delta" j in
+  let* epsilon_spent = Json.get_num "epsilon_spent" j in
+  let* delta_spent = Json.get_num "delta_spent" j in
   let* columns =
     match Option.bind (Json.mem "columns" j) Json.to_list with
     | Some vs -> (
@@ -177,15 +161,15 @@ let entry_of_json j =
       |> Result.map List.rev
     | None -> Error "missing rows"
   in
-  let* bins_enumerated = get_bool "bins_enumerated" j in
+  let* bins_enumerated = Json.get_bool "bins_enumerated" j in
   let* noise_scales =
     match Option.bind (Json.mem "noise_scales" j) Json.to_list with
     | Some vs ->
       List.fold_left
         (fun acc v ->
           let* acc = acc in
-          let* c = get_str "column" v in
-          let* s = get_num "scale" v in
+          let* c = Json.get_str "column" v in
+          let* s = Json.get_num "scale" v in
           Ok ((c, s) :: acc))
         (Ok []) vs
       |> Result.map List.rev
@@ -205,6 +189,8 @@ let entry_of_json j =
       bins_enumerated;
       noise_scales;
     }
+
+let line_of_entry e = Json.to_string (json_of_entry e)
 
 let entry_of_line line =
   let* j = Json.of_string line in
@@ -285,16 +271,14 @@ let admit t e =
 
 (* --- lifecycle -------------------------------------------------------------- *)
 
-let make ~oc ~path ~sync ~capacity =
+let create ?(capacity = 4096) () =
   {
     table = Hashtbl.create 256;
     queues = Hashtbl.create 16;
     counts = Hashtbl.create 16;
     capacity = max 1 capacity;
     seq = 0;
-    oc;
-    journal_path = path;
-    sync;
+    journal = None;
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
@@ -302,82 +286,33 @@ let make ~oc ~path ~sync ~capacity =
     stale = 0;
   }
 
-let create ?(capacity = 4096) () = make ~oc:None ~path:None ~sync:false ~capacity
-
-let read_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  end
-
-(* Same replay discipline as Ledger: an undecodable line terminates replay
-   when it is the last one (crash mid-append — that release was never
-   acknowledged) and is refused as corruption anywhere else. *)
-let replay t ~fingerprint ~source lines =
-  let rec go = function
-    | [] -> ()
-    | line :: rest when String.trim line = "" -> go rest
-    | line :: rest -> (
-      match entry_of_line line with
-      | Ok e ->
-        if e.fingerprint = fingerprint then admit t e else t.stale <- t.stale + 1;
-        go rest
-      | Error msg ->
-        if rest = [] then () (* torn tail *)
-        else Fmt.invalid_arg "Release_store: corrupt journal %s: %s in %S" source msg line)
-  in
-  go lines
-
 (* Compact the journal to the live working set. Replay admits under the same
    capacity/fairness policy as live inserts, so after replay the table holds
-   exactly what this process will serve; every other line — evicted entries,
-   releases stranded by an epoch flip, a torn tail — is dead weight that
-   would otherwise accumulate across restarts. The rewrite is atomic (tmp +
-   rename) and ordered by insertion seq, so re-replaying the compacted
-   journal rebuilds this very store; the torn-tail discipline is preserved
-   because a fresh append can still tear, but only ever on the final line. *)
-let compact t path =
-  let slots = Hashtbl.fold (fun _ s acc -> s :: acc) t.table [] in
-  let slots = List.sort (fun (a : slot) b -> compare a.seq b.seq) slots in
-  let tmp = path ^ ".compact" in
-  let oc = open_out_gen [ Open_trunc; Open_creat; Open_wronly; Open_binary ] 0o644 tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun s -> output_string oc (Json.to_string (json_of_entry s.entry) ^ "\n"))
-        slots;
-      flush oc;
-      if t.sync then Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path
+   exactly what this process will serve; every other record (evicted
+   entries, releases stranded by an epoch flip) is dead weight that would
+   otherwise accumulate across restarts. The rewrite is ordered by insertion
+   seq, so re-replaying the compacted journal rebuilds this very store. *)
+let compact t journal =
+  Hashtbl.fold (fun _ s acc -> s :: acc) t.table []
+  |> List.sort (fun (a : slot) b -> compare a.seq b.seq)
+  |> List.to_seq
+  |> Seq.map (fun s -> line_of_entry s.entry)
+  |> Journal.rewrite journal
 
-let open_ ?(sync = false) ?(capacity = 4096) ~fingerprint path =
-  let lines = read_lines path in
-  let t = make ~oc:None ~path:(Some path) ~sync ~capacity in
-  replay t ~fingerprint ~source:path lines;
-  let n_lines = List.length (List.filter (fun l -> String.trim l <> "") lines) in
-  if n_lines <> Hashtbl.length t.table then compact t path;
-  t.oc <- Some (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path);
+let open_ ?sync ?capacity ~fingerprint path =
+  let t = create ?capacity () in
+  let replayed = ref 0 in
+  let journal =
+    Journal.open_ ?sync path ~decode:entry_of_line (fun e ->
+        incr replayed;
+        if e.fingerprint = fingerprint then admit t e else t.stale <- t.stale + 1)
+  in
+  t.journal <- Some journal;
+  if !replayed <> Hashtbl.length t.table then compact t journal;
   t
 
-let close t =
-  with_lock t (fun () ->
-      match t.oc with
-      | None -> ()
-      | Some oc ->
-        close_out oc;
-        t.oc <- None)
-
-let path t = t.journal_path
+let close t = with_lock t (fun () -> Option.iter Journal.close t.journal)
+let path t = Option.map Journal.path t.journal
 
 (* --- operations ------------------------------------------------------------- *)
 
@@ -396,20 +331,12 @@ let find t key =
         t.misses <- t.misses + 1;
         None)
 
-let append t e =
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-    output_string oc (Json.to_string (json_of_entry e) ^ "\n");
-    flush oc;
-    if t.sync then Unix.fsync (Unix.descr_of_out_channel oc)
-
 let record t e =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table e.key with
       | Some s -> s.entry (* first release wins; the racing loser is discarded *)
       | None ->
-        append t e;
+        Option.iter (fun j -> Journal.append j (line_of_entry e)) t.journal;
         admit t e;
         e)
 

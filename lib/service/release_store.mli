@@ -17,14 +17,13 @@
     collides onto a single stored release — a noisy materialized view — and
     is answered by evaluating its suffix over [rows] at zero budget.
 
-    Persistence follows the {!Flex_dp.Ledger} discipline: an append-only
-    JSON-lines journal, floats in round-trip precision, written and flushed
-    {e before} the release is servable, replayed on open with a torn final
-    line (crash mid-append) dropped and interior corruption refused. The
-    order a server must observe is: charge the ledger, journal the release
-    here, only then respond — so a crash can lose an un-acknowledged answer
-    (and, conservatively, its charge) but can never mint a second,
-    differently-noised answer for a key that was already released.
+    Persistence is a JSON-lines {!Flex_dp.Journal}, the ledger's file
+    discipline: floats in round-trip precision, each release written and
+    flushed {e before} it is servable. The order a server must observe is:
+    charge the ledger, journal the release here, only then respond — so a
+    crash can lose an un-acknowledged answer (and, conservatively, its
+    charge) but can never mint a second, differently-noised answer for a key
+    that was already released.
 
     Admission is bounded and fair: at most [capacity] entries, and when full
     an insert first evicts from analysts holding at least their proportional
@@ -75,17 +74,18 @@ val create : ?capacity:int -> unit -> t
 (** In-memory store (default capacity 4096 releases). *)
 
 val open_ : ?sync:bool -> ?capacity:int -> fingerprint:string -> string -> t
-(** Open (creating if absent) a journaled store. Journal entries from the
-    current [fingerprint] epoch are re-admitted in order under the same
-    capacity policy as live inserts, so a restarted server replays exactly
-    what it would have served; entries from other epochs count as
-    [stale_dropped]. When replay leaves any dead lines behind — stranded
-    epochs, capacity evictions, a torn tail — the journal is compacted to
-    the live working set (atomic tmp + rename, insertion order preserved),
-    so the file stays proportional to the store across restarts instead of
-    growing without bound. [sync] fsyncs after every record.
-    @raise Invalid_argument on interior journal corruption (a torn {e final}
-    line is dropped silently — that release was never acknowledged). *)
+(** Open (creating if absent) a journaled store, replayed under the
+    {!Flex_dp.Journal} discipline (a torn final line is cut off: that
+    release was never acknowledged). Journal entries from the current
+    [fingerprint] epoch are re-admitted in order under the same capacity
+    policy as live inserts, so a restarted server replays exactly what it
+    would have served; entries from other epochs count as [stale_dropped].
+    When replay leaves any dead records behind — stranded epochs, capacity
+    evictions — the journal is compacted to the live working set
+    ({!Flex_dp.Journal.rewrite}, insertion order preserved), so the file
+    stays proportional to the store across restarts instead of growing
+    without bound. [sync] fsyncs after every record.
+    @raise Invalid_argument on interior journal corruption. *)
 
 val close : t -> unit
 val path : t -> string option

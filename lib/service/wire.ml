@@ -107,26 +107,6 @@ let get_opt_str key j =
     | Some s -> Ok (Some s)
     | None -> Error (Printf.sprintf "non-string field %S" key))
 
-let get_str key j =
-  match Option.bind (Json.mem key j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing or non-string field %S" key)
-
-let get_num key j =
-  match Option.bind (Json.mem key j) Json.to_num with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "missing or non-number field %S" key)
-
-let get_int key j =
-  match Option.bind (Json.mem key j) Json.to_int with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "missing or non-integer field %S" key)
-
-let get_bool key j =
-  match Option.bind (Json.mem key j) Json.to_bool with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "missing or non-boolean field %S" key)
-
 let get_opt_num key j =
   match Json.mem key j with
   | None | Some Json.Null -> Ok None
@@ -173,25 +153,25 @@ let request_to_json = function
   | Quit -> Json.Obj [ ("op", Json.str "quit") ]
 
 let request_of_json j =
-  let* op = get_str "op" j in
+  let* op = Json.get_str "op" j in
   match op with
   | "hello" ->
-    let* analyst = get_str "analyst" j in
+    let* analyst = Json.get_str "analyst" j in
     let* epsilon = get_opt_num "epsilon" j in
     let* delta = get_opt_num "delta" j in
     Ok (Hello { analyst; epsilon; delta })
   | "query" ->
-    let* sql = get_str "sql" j in
+    let* sql = Json.get_str "sql" j in
     let* epsilon = get_opt_num "epsilon" j in
     let* delta = get_opt_num "delta" j in
     (* added after the op shipped: an older client never sends one *)
     let* id = get_opt_str "id" j in
     Ok (Query { sql; epsilon; delta; id })
   | "analyze" ->
-    let* sql = get_str "sql" j in
+    let* sql = Json.get_str "sql" j in
     Ok (Analyze { sql })
   | "explain" ->
-    let* sql = get_str "sql" j in
+    let* sql = Json.get_str "sql" j in
     Ok (Explain { sql })
   | "budget" -> Ok Budget_info
   | "stats" -> Ok Stats
@@ -317,7 +297,7 @@ let response_to_json = function
   | Bye -> Json.Obj [ ("status", Json.str "bye") ]
 
 let response_of_json j =
-  let* status = get_str "status" j in
+  let* status = Json.get_str "status" j in
   match status with
   | "result" ->
     let* columns =
@@ -341,24 +321,24 @@ let response_of_json j =
         |> Result.map List.rev
       | None -> Error "missing rows"
     in
-    let* epsilon_spent = get_num "epsilon_spent" j in
-    let* delta_spent = get_num "delta_spent" j in
-    let* remaining_epsilon = get_num "remaining_epsilon" j in
-    let* remaining_delta = get_num "remaining_delta" j in
-    let* cache_hit = get_bool "cache_hit" j in
+    let* epsilon_spent = Json.get_num "epsilon_spent" j in
+    let* delta_spent = Json.get_num "delta_spent" j in
+    let* remaining_epsilon = Json.get_num "remaining_epsilon" j in
+    let* remaining_delta = Json.get_num "remaining_delta" j in
+    let* cache_hit = Json.get_bool "cache_hit" j in
     (* added with the release store; older servers never replay *)
     let* cached = get_bool_default "cached" ~default:false j in
     (* added with the materialized-view layer; older servers never derive *)
     let* derived = get_bool_default "derived" ~default:false j in
-    let* bins_enumerated = get_bool "bins_enumerated" j in
+    let* bins_enumerated = Json.get_bool "bins_enumerated" j in
     let* noise_scales =
       match Option.bind (Json.mem "noise_scales" j) Json.to_list with
       | Some vs ->
         List.fold_left
           (fun acc v ->
             let* acc = acc in
-            let* c = get_str "column" v in
-            let* s = get_num "scale" v in
+            let* c = Json.get_str "column" v in
+            let* s = Json.get_num "scale" v in
             Ok ((c, s) :: acc))
           (Ok []) vs
         |> Result.map List.rev
@@ -380,19 +360,19 @@ let response_of_json j =
            noise_scales;
          })
   | "analysis" ->
-    let* cache_hit = get_bool "cache_hit" j in
-    let* is_histogram = get_bool "is_histogram" j in
-    let* joins = get_int "joins" j in
+    let* cache_hit = Json.get_bool "cache_hit" j in
+    let* is_histogram = Json.get_bool "is_histogram" j in
+    let* joins = Json.get_int "joins" j in
     let* columns =
       match Option.bind (Json.mem "columns" j) Json.to_list with
       | Some vs ->
         List.fold_left
           (fun acc v ->
             let* acc = acc in
-            let* column = get_str "column" v in
-            let* sensitivity = get_str "sensitivity" v in
-            let* smooth_bound = get_num "smooth_bound" v in
-            let* noise_scale = get_num "noise_scale" v in
+            let* column = Json.get_str "column" v in
+            let* sensitivity = Json.get_str "sensitivity" v in
+            let* smooth_bound = Json.get_num "smooth_bound" v in
+            let* noise_scale = Json.get_num "noise_scale" v in
             Ok ({ column; sensitivity; smooth_bound; noise_scale } :: acc))
           (Ok []) vs
         |> Result.map List.rev
@@ -400,29 +380,29 @@ let response_of_json j =
     in
     Ok (Analysis { cache_hit; is_histogram; joins; columns })
   | "plan" ->
-    let* logical = get_str "logical" j in
-    let* optimized = get_str "optimized" j in
+    let* logical = Json.get_str "logical" j in
+    let* optimized = Json.get_str "optimized" j in
     Ok (Plan_report { logical; optimized })
   | "rejected" ->
-    let* bucket = get_str "bucket" j in
-    let* reason = get_str "reason" j in
+    let* bucket = Json.get_str "bucket" j in
+    let* reason = Json.get_str "reason" j in
     Ok (Rejected { bucket; reason })
   | "refused" ->
-    let* analyst = get_str "analyst" j in
-    let* requested_epsilon = get_num "requested_epsilon" j in
-    let* requested_delta = get_num "requested_delta" j in
-    let* remaining_epsilon = get_num "remaining_epsilon" j in
-    let* remaining_delta = get_num "remaining_delta" j in
+    let* analyst = Json.get_str "analyst" j in
+    let* requested_epsilon = Json.get_num "requested_epsilon" j in
+    let* requested_delta = Json.get_num "requested_delta" j in
+    let* remaining_epsilon = Json.get_num "remaining_epsilon" j in
+    let* remaining_delta = Json.get_num "remaining_delta" j in
     Ok (Refused { analyst; requested_epsilon; requested_delta; remaining_epsilon; remaining_delta })
   | "budget" ->
-    let* analyst = get_str "analyst" j in
-    let* epsilon_limit = get_num "epsilon_limit" j in
-    let* delta_limit = get_num "delta_limit" j in
-    let* epsilon_spent = get_num "epsilon_spent" j in
-    let* delta_spent = get_num "delta_spent" j in
-    let* remaining_epsilon = get_num "remaining_epsilon" j in
-    let* remaining_delta = get_num "remaining_delta" j in
-    let* queries = get_int "queries" j in
+    let* analyst = Json.get_str "analyst" j in
+    let* epsilon_limit = Json.get_num "epsilon_limit" j in
+    let* delta_limit = Json.get_num "delta_limit" j in
+    let* epsilon_spent = Json.get_num "epsilon_spent" j in
+    let* delta_spent = Json.get_num "delta_spent" j in
+    let* remaining_epsilon = Json.get_num "remaining_epsilon" j in
+    let* remaining_delta = Json.get_num "remaining_delta" j in
+    let* queries = Json.get_int "queries" j in
     Ok
       (Budget_report
          {
@@ -436,13 +416,13 @@ let response_of_json j =
            queries;
          })
   | "stats" ->
-    let* queries = get_int "queries" j in
-    let* granted = get_int "granted" j in
-    let* rejected = get_int "rejected" j in
-    let* refused = get_int "refused" j in
-    let* cache_hits = get_int "cache_hits" j in
-    let* cache_misses = get_int "cache_misses" j in
-    let* cache_entries = get_int "cache_entries" j in
+    let* queries = Json.get_int "queries" j in
+    let* granted = Json.get_int "granted" j in
+    let* rejected = Json.get_int "rejected" j in
+    let* refused = Json.get_int "refused" j in
+    let* cache_hits = Json.get_int "cache_hits" j in
+    let* cache_misses = Json.get_int "cache_misses" j in
+    let* cache_entries = Json.get_int "cache_entries" j in
     (* release-cache counters shipped after the op: an older server simply
        has no release store, which zeros render faithfully *)
     let* release_hits = get_int_default "release_hits" ~default:0 j in
@@ -452,7 +432,7 @@ let response_of_json j =
     let* release_entries = get_int_default "release_entries" ~default:0 j in
     let* release_hit_rate = get_opt_num "release_hit_rate" j in
     let release_hit_rate = Option.value release_hit_rate ~default:0.0 in
-    let* analysts = get_int "analysts" j in
+    let* analysts = Json.get_int "analysts" j in
     (* uptime_seconds / qps / metrics arrived after the op itself: default
        them so an updated client still decodes an older server's report *)
     let* uptime_seconds = get_opt_num "uptime_seconds" j in
@@ -482,10 +462,10 @@ let response_of_json j =
            metrics;
          })
   | "analyzed" ->
-    let* plan = get_str "plan" j in
+    let* plan = Json.get_str "plan" j in
     Ok (Analyzed_report { plan })
   | "error" ->
-    let* message = get_str "message" j in
+    let* message = Json.get_str "message" j in
     Ok (Error_msg message)
   | "bye" -> Ok Bye
   | s -> Error (Printf.sprintf "unknown status %S" s)

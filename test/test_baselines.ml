@@ -217,71 +217,6 @@ let suites =
     ("global-sensitivity", global_tests);
   ]
 
-(* --- sample & aggregate (appended) ------------------------------------------ *)
-
-module Sample_aggregate = Flex_baselines.Sample_aggregate
-
-let sa_table n =
-  Table.create ~name:"w" ~columns:[ "x" ]
-    (List.init n (fun i -> [| Value.Float (float_of_int (i mod 100)) |]))
-
-let sample_aggregate_tests =
-  [
-    Alcotest.test_case "partition is disjoint and complete" `Quick (fun () ->
-        let rows = Array.init 17 (fun i -> i) in
-        let parts = Sample_aggregate.partition ~blocks:5 rows in
-        Alcotest.(check int) "5 blocks" 5 (List.length parts);
-        Alcotest.(check int) "all elements" 17
-          (List.fold_left (fun acc b -> acc + List.length b) 0 parts);
-        let seen = Hashtbl.create 17 in
-        List.iter (List.iter (fun x ->
-            Alcotest.(check bool) "distinct" false (Hashtbl.mem seen x);
-            Hashtbl.replace seen x ())) parts);
-    Alcotest.test_case "noisy mean concentrates" `Quick (fun () ->
-        let rng = Rng.create ~seed:6 () in
-        let t = sa_table 2000 in
-        let estimator = Sample_aggregate.mean_of_column t "x" in
-        let total = ref 0.0 in
-        for _ = 1 to 30 do
-          match
-            Sample_aggregate.release rng ~epsilon:1.0 ~blocks:20 ~lo:0.0 ~hi:100.0
-              ~estimator t
-          with
-          | Ok v -> total := !total +. v
-          | Error e -> Alcotest.failf "%a" Sample_aggregate.pp_error e
-        done;
-        let avg = !total /. 30.0 in
-        (* true mean of 0..99 cycling = 49.5 *)
-        Alcotest.(check bool) "mean near 49.5" true (Float.abs (avg -. 49.5) < 5.0));
-    Alcotest.test_case "median estimator" `Quick (fun () ->
-        let rng = Rng.create ~seed:7 () in
-        let t = sa_table 999 in
-        let estimator = Sample_aggregate.median_of_column t "x" in
-        match
-          Sample_aggregate.release rng ~epsilon:2.0 ~blocks:9 ~lo:0.0 ~hi:100.0
-            ~estimator t
-        with
-        | Ok v -> Alcotest.(check bool) "median plausible" true (Float.abs (v -. 49.5) < 15.0)
-        | Error e -> Alcotest.failf "%a" Sample_aggregate.pp_error e);
-    Alcotest.test_case "degenerate inputs are rejected" `Quick (fun () ->
-        let rng = Rng.create () in
-        let t = sa_table 10 in
-        let estimator = Sample_aggregate.mean_of_column t "x" in
-        (match
-           Sample_aggregate.release rng ~epsilon:1.0 ~blocks:1 ~lo:0.0 ~hi:1.0
-             ~estimator t
-         with
-        | Error Sample_aggregate.Too_few_blocks -> ()
-        | _ -> Alcotest.fail "expected Too_few_blocks");
-        let empty = Table.create ~name:"e" ~columns:[ "x" ] [] in
-        match
-          Sample_aggregate.release rng ~epsilon:1.0 ~blocks:4 ~lo:0.0 ~hi:1.0
-            ~estimator:(fun _ -> 0.0) empty
-        with
-        | Error Sample_aggregate.Empty_data -> ()
-        | _ -> Alcotest.fail "expected Empty_data");
-  ]
-
 (* --- exponential mechanism (appended) ----------------------------------------- *)
 
 module Exp_mech = Flex_dp.Exp_mech
@@ -315,6 +250,4 @@ let exp_mech_tests =
         Alcotest.(check (float 1e-6)) "near uniform" 0.5 d.(0));
   ]
 
-let suites =
-  suites
-  @ [ ("sample-aggregate", sample_aggregate_tests); ("exp-mech", exp_mech_tests) ]
+let suites = suites @ [ ("exp-mech", exp_mech_tests) ]

@@ -514,53 +514,6 @@ let ledger_tests =
         Alcotest.(check bool) "summaries identical" true (summary_list l2 = before);
         Ledger.close l2;
         Sys.remove path);
-    Alcotest.test_case "torn final line is tolerated, interior corruption is not" `Quick
-      (fun () ->
-        let path = temp_journal () in
-        let l = Ledger.open_ path in
-        ignore (Ledger.register l ~analyst:"a" ~epsilon:1.0 ~delta:1e-4);
-        ignore (Ledger.spend l ~analyst:"a" ~epsilon:0.25 ~delta:0.0 ~label:"q");
-        Ledger.close l;
-        let crash_after tail =
-          let oc = open_out_gen [ Open_append ] 0o644 path in
-          output_string oc tail;
-          close_out oc
-        in
-        let spent () =
-          let l = Ledger.open_ path in
-          let s = Ledger.spent l ~analyst:"a" in
-          Ledger.close l;
-          s
-        in
-        let restart_and_spend epsilon =
-          let l = Ledger.open_ path in
-          ignore (Ledger.spend l ~analyst:"a" ~epsilon ~delta:0.0 ~label:"q");
-          Ledger.close l
-        in
-        (* a crash mid-append: a partial record, no trailing newline *)
-        crash_after "spend\ta\t0.2";
-        Alcotest.(check bool) "torn tail dropped" true (spent () = Some (0.25, 0.0));
-        (* the restarted ledger's next spend must survive the next restart,
-           not merge into the torn line *)
-        restart_and_spend 0.125;
-        Alcotest.(check bool) "spend after a torn tail kept" true
-          (spent () = Some (0.375, 0.0));
-        (* a crash between a complete record and its newline: replay counts
-           the record, and the next spend lands on a line of its own *)
-        crash_after "spend\ta\t0.5\t0\tq";
-        Alcotest.(check bool) "complete final record counted" true
-          (spent () = Some (0.875, 0.0));
-        restart_and_spend 0.125;
-        Alcotest.(check bool) "spend after an unterminated record kept" true
-          (spent () = Some (1.0, 0.0));
-        (* a malformed line with records after it is corruption *)
-        crash_after "spend\ta\tbogus\nspend\ta\t0\t0\tq\n";
-        (match Ledger.open_ path with
-        | exception Invalid_argument _ -> ()
-        | l ->
-          Ledger.close l;
-          Alcotest.fail "interior corruption accepted");
-        Sys.remove path);
     Alcotest.test_case "spent totals are the journal-order fold, live and replayed" `Quick
       (fun () ->
         (* costs that are not powers of two, so summation order shows in the
@@ -1043,6 +996,170 @@ let early_refusal_tests =
         Alcotest.(check int) "journaled spends" 7 (Ledger.spends ledger ~analyst:"team"));
   ]
 
+(* --- journal crash shapes ------------------------------------------------------------ *)
+
+(* The ledger and the release store keep one journal discipline, so every
+   shape a crash can leave on disk runs against both. A subject's journal
+   starts with one acknowledged record; [record path n] restarts on it,
+   acknowledges [n] more records and closes; [live path] restarts and counts
+   the acknowledged records replay brought back. *)
+type journal_subject = {
+  record : string -> int -> unit;
+  live : string -> int;
+  torn : string;  (** a record cut off mid-append *)
+  unterminated : string;  (** a whole record that lost its newline *)
+  corrupt : string;  (** an undecodable line with a line after it *)
+  offline : (string -> int) option;  (** a replay that only reads the file, if any *)
+}
+
+let ledger_subject () =
+  let epsilon = 0.125 in
+  let with_ledger path f =
+    let l = Ledger.open_ path in
+    Fun.protect ~finally:(fun () -> Ledger.close l) (fun () -> f l)
+  in
+  let record path n =
+    with_ledger path (fun l ->
+        ignore (Ledger.register l ~analyst:"a" ~epsilon:100.0 ~delta:1e-4);
+        for _ = 1 to n do
+          match Ledger.spend l ~analyst:"a" ~epsilon ~delta:0.0 ~label:"q" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "spend refused: %s" (Ledger.error_to_string e)
+        done)
+  in
+  let live path =
+    with_ledger path (fun l ->
+        let n = Ledger.spends l ~analyst:"a" in
+        Alcotest.(check bool) "spent is the sum of the acknowledged spends" true
+          (Ledger.spent l ~analyst:"a" = Some (float_of_int n *. epsilon, 0.0));
+        n)
+  in
+  {
+    record;
+    live;
+    torn = "spend\ta\t0.2";
+    unterminated = "spend\ta\t0.125\t0\tq";
+    corrupt = "spend\ta\tbogus\nspend\ta\t0\t0\tq\n";
+    offline =
+      Some
+        (fun path ->
+          match Ledger.summaries_of_file path with
+          | [ s ] -> s.spend_count
+          | _ -> Alcotest.fail "one analyst expected");
+  }
+
+let store_subject () =
+  let entry key =
+    {
+      Release_store.key;
+      fingerprint = "fp";
+      analyst = "a";
+      epsilon = 0.125;
+      delta = 0.0;
+      epsilon_spent = 0.125;
+      delta_spent = 0.0;
+      columns = [ "count" ];
+      rows = [ [| Flex_engine.Value.Int 7 |] ];
+      bins_enumerated = false;
+      noise_scales = [ ("count", 8.0) ];
+    }
+  in
+  let with_store path f =
+    let s = Release_store.open_ ~fingerprint:"fp" path in
+    Fun.protect ~finally:(fun () -> Release_store.close s) (fun () -> f s)
+  in
+  let recorded = ref [ "crash" ] in
+  let record path n =
+    with_store path (fun s ->
+        for _ = 1 to n do
+          let key = Printf.sprintf "q%d" (List.length !recorded) in
+          ignore (Release_store.record s (entry key));
+          recorded := key :: !recorded
+        done)
+  in
+  let live path =
+    with_store path (fun s ->
+        let found = List.filter (fun k -> Release_store.peek s k <> None) !recorded in
+        Alcotest.(check int) "no entry but the acknowledged ones" (List.length found)
+          (Release_store.length s);
+        List.length found)
+  in
+  (* the line [record] writes for a release keyed "crash" *)
+  let unterminated =
+    let path = Filename.temp_file "flex-releases" ".journal" in
+    with_store path (fun s -> ignore (Release_store.record s (entry "crash")));
+    let line = String.trim (In_channel.with_open_bin path In_channel.input_all) in
+    Sys.remove path;
+    line
+  in
+  {
+    record;
+    live;
+    torn = "{\"key\": \"half-writ";
+    unterminated;
+    corrupt = "not json\nalso not json\n";
+    offline = None;
+  }
+
+type crash_step =
+  | Crash of (journal_subject -> string)  (** bytes a crash leaves at the end *)
+  | Record of int
+  | Live of int  (** restart: this many acknowledged records are back *)
+  | Refused  (** restart: replay refuses the journal *)
+  | Offline of int  (** a read-only replay counts this many and changes no byte *)
+
+let crash_shapes =
+  [
+    ( "a torn tail is cut off and the next record kept",
+      [ Crash (fun s -> s.torn); Live 1; Record 1; Live 2 ] );
+    ( "a whole record without its newline, then one append",
+      [ Crash (fun s -> s.unterminated); Live 2; Record 1; Live 3 ] );
+    ( "a whole record without its newline, then two appends",
+      [ Crash (fun s -> s.unterminated); Record 2; Live 4 ] );
+    ("interior corruption is refused", [ Crash (fun s -> s.corrupt); Refused ]);
+    ( "blank lines are skipped",
+      [
+        Crash (fun _ -> "\n  \n"); Record 1; Crash (fun _ -> "\n"); Live 2; Record 1; Live 3;
+      ] );
+    ( "a read-only replay of a torn journal changes no byte",
+      [ Crash (fun s -> s.torn); Offline 1; Live 1 ] );
+  ]
+
+let run_crash_shape subject steps =
+  let path = Filename.temp_file "flex-crash" ".journal" in
+  subject.record path 1;
+  let contents () = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (function
+      | Crash bytes ->
+        Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+            output_string oc (bytes subject))
+      | Record n -> subject.record path n
+      | Live n -> Alcotest.(check int) "acknowledged records back" n (subject.live path)
+      | Refused -> (
+        match subject.live path with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "interior corruption accepted")
+      | Offline n ->
+        Option.iter
+          (fun replay ->
+            let before = contents () in
+            Alcotest.(check int) "records replayed" n (replay path);
+            Alcotest.(check string) "journal bytes unchanged" before (contents ()))
+          subject.offline)
+    steps;
+  Sys.remove path
+
+let journal_crash_tests =
+  List.concat_map
+    (fun (name, make) ->
+      List.map
+        (fun (shape, steps) ->
+          Alcotest.test_case (name ^ ": " ^ shape) `Quick (fun () ->
+              run_crash_shape (make ()) steps))
+        crash_shapes)
+    [ ("ledger", ledger_subject); ("release store", store_subject) ]
+
 (* --- every request concludes exactly once ---------------------------------------- *)
 
 (* Point every descriptor this process holds on [path] at /dev/full, so the
@@ -1463,6 +1580,7 @@ let suites =
     ("service-wire", wire_tests);
     ("service-canon", canon_tests);
     ("service-ledger", ledger_tests);
+    ("journal-crash-shapes", journal_crash_tests);
     ("service-server", server_tests);
     ("service-early-refusal", early_refusal_tests);
     ("service-conclude", conclude_tests);
