@@ -1,7 +1,8 @@
 (* Tracked engine performance benchmark: compiled/vectorized {!Executor}
-   against the row-at-a-time {!Reference} interpreter on six query shapes
+   against the row-at-a-time {!Reference} interpreter on query shapes
    (scan, filter, equijoin, group-aggregate, a date-range count,
-   order-limit) over the Uber and TPC-H substrates at two scales each.
+   order-limit, and COUNT( * ) over a two-table join, plain and grouped)
+   over the Uber and TPC-H substrates at two scales each.
 
      dune exec bench/perf.exe                       -- full run, writes BENCH_engine.json
      dune exec bench/perf.exe -- --out FILE         -- choose the output path
@@ -140,6 +141,20 @@ let uber_shapes =
       table = "trips";
       sql = "SELECT id, fare FROM trips ORDER BY fare DESC, id LIMIT 100";
     };
+    {
+      sname = "join_count";
+      table = "trips";
+      sql =
+        "SELECT COUNT(*) FROM trips t JOIN trips t2 ON t.rider_id = t2.rider_id \
+         WHERE t.status = 'completed' AND t2.status = 'cancelled'";
+    };
+    {
+      sname = "join_group_count";
+      table = "trips";
+      sql =
+        "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
+         WHERE t.requested_at >= '2016-03-01' GROUP BY c.name";
+    };
   ]
 
 let tpch_shapes =
@@ -179,6 +194,13 @@ let tpch_shapes =
       table = "lineitem";
       sql = "SELECT l_orderkey, l_extendedprice FROM lineitem \
              ORDER BY l_extendedprice DESC LIMIT 100";
+    };
+    {
+      sname = "join_count";
+      table = "lineitem";
+      sql =
+        "SELECT COUNT(*) FROM orders o JOIN lineitem l ON o.o_orderkey = l.l_orderkey \
+         WHERE o.o_orderdate >= '1995-01-01' AND l.l_quantity < 24";
     };
   ]
 
@@ -223,7 +245,7 @@ let bench_substrate name scale_label (db : Database.t) shapes acc =
         { substrate = name; scale = scale_label; shape = s.sname; input_rows;
           reference_ns; compiled_ns; columnar_ns }
       in
-      Fmt.pr "  %-12s %-10s %-12s %10.0f ns %10.0f ns %10.0f ns %6.2fx %6.2fx %12.0f rows/s@."
+      Fmt.pr "  %-12s %-10s %-16s %10.0f ns %10.0f ns %10.0f ns %6.2fx %6.2fx %12.0f rows/s@."
         name scale_label s.sname reference_ns compiled_ns columnar_ns (speedup r)
         (columnar_speedup r) (rows_per_sec r);
       r :: acc)
@@ -337,7 +359,7 @@ let () =
   Fmt.pr "engine executor benchmark (%d warmup rounds, median of %d interleaved samples)@."
     (if !smoke then 1 else 3)
     (if !smoke then 5 else 9);
-  Fmt.pr "  %-12s %-10s %-12s %13s %13s %13s %7s %7s %14s@." "substrate" "scale" "shape"
+  Fmt.pr "  %-12s %-10s %-16s %13s %13s %13s %7s %7s %14s@." "substrate" "scale" "shape"
     "reference" "row" "columnar" "row-x" "col-x" "throughput";
   let rows =
     List.fold_left
@@ -381,7 +403,7 @@ let () =
     List.iter
       (fun r ->
         match r.shape with
-        | "scan" | "filter" | "group_agg" | "range_count" ->
+        | "scan" | "filter" | "group_agg" | "range_count" | "join_count" | "join_group_count" ->
           if r.columnar_ns >= r.compiled_ns then
             Fmt.failwith
               "smoke: columnar regression on %s/%s/%s: columnar %.0f ns >= row %.0f ns"

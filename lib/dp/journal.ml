@@ -41,12 +41,22 @@ let replay path ~decode f =
 
 let iter path ~decode f = ignore (replay path ~decode f)
 
+(* Under [sync], make a file's creation or renaming in [path]'s directory
+   durable: POSIX makes a directory entry durable only by an fsync of the
+   directory itself. *)
+let sync_dir ~sync path =
+  if sync then begin
+    let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+  end
+
 let open_ ?(sync = false) path ~decode f =
   let tail = replay path ~decode f in
   (* The next append must start a line of its own, or it would merge with
      the last one and both would be lost on the next replay. *)
   (match tail with Torn offset -> Unix.truncate path offset | _ -> ());
   let oc = open_append path in
+  sync_dir ~sync path;
   if tail = Unterminated then begin
     output_char oc '\n';
     flush oc
@@ -84,6 +94,7 @@ let rewrite t lines =
       Seq.iter (write_line oc) lines;
       commit t oc);
   Sys.rename tmp t.path;
+  sync_dir ~sync:t.sync t.path;
   close t;
   t.oc <- Some (open_append t.path)
 

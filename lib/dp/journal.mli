@@ -22,7 +22,9 @@ val open_ :
     when absent. Before the first append, an undecodable last line is cut off
     the file, and a last record that decoded but lost its newline gets the
     newline back, so every append starts a line of its own. [sync] fsyncs
-    every {!append} and {!rewrite} (default: flush only).
+    every {!append} and {!rewrite} (default: flush only), and the journal's
+    directory once opened, so a file this call created survives an OS
+    crash.
     @raise Invalid_argument naming the file when a line other than the last
     does not decode. *)
 
@@ -37,8 +39,9 @@ val append : t -> string -> unit
 val rewrite : t -> string Seq.t -> unit
 (** Replace the journal with these records, atomically: they are written to
     a temporary file beside it, flushed (and fsynced under [sync]) and
-    renamed over it, so a crash leaves either the old journal or the new
-    one whole. Later appends go to the new file. *)
+    renamed over it, and under [sync] the directory is fsynced after the
+    rename, so a crash leaves either the old journal or the new one whole.
+    Later appends go to the new file. *)
 
 val close : t -> unit
 val path : t -> string

@@ -9,9 +9,11 @@ module Vec = Row_vec
    arrays (no row materialisation; ranges and dictionary pass tables, see
    the filter kernels below), the hash equijoin extracts keys
    column-wise (with the dense-int counting-sort fast path of the row
-   engine), GROUP BY aggregates accumulate into per-group typed arrays, and
-   ORDER BY+LIMIT runs {!Key_sort} top-K over column key arrays. Everything
-   else returns [None] and the row pipeline runs as before.
+   engine), GROUP BY aggregates accumulate into per-group typed arrays, a
+   COUNT( * ) over two joined tables is counted by key without joining
+   ({!count_slab}), and ORDER BY+LIMIT runs {!Key_sort} top-K over column
+   key arrays. Everything else returns [None] and the row pipeline runs as
+   before.
 
    Bit-identity contract: for every accepted query, the result must be
    bit-identical to the row pipeline — same rows, same order, same float
@@ -633,352 +635,263 @@ let selection_of ctx t (s : step) : int array option =
 
 let small_int v = v > -two_53 && v < two_53
 
-(* Join the accumulated slab (probe side, logical row order preserved) with
-   table [bt]'s filtered rows (build side) on [probe_ci = build col]. The
-   candidate order per key is the build side's ascending row order and the
-   output follows the probe scan — exactly the row engine's hash join. *)
-let join_step ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array option) : slab =
+module Str_table = Hashtbl.Make (String)
+
+(* Rows [0, n) by bucket, stably: bucket [b]'s rows are [items.(starts.(b))]
+   up to [items.(starts.(b + 1) - 1)], each mapped through [row] ([None] =
+   identity). Row [i] is in bucket [bkt.(i) - off]; a negative one is in
+   none. The rows themselves are listed only on demand, by a counting sort
+   that needs no cursor array: filling from the last row down with
+   [starts.(b + 1)] as bucket [b]'s falling cursor leaves it at the bucket's
+   start, and one shift restores [starts]. Force [items] before reading
+   [starts] from another domain. *)
+let by_bucket ~nbk ~n (bkt : int array) ~off (row : int array option) =
+  let starts = Array.make (nbk + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = bkt.(i) - off in
+    if b >= 0 then starts.(b + 1) <- starts.(b + 1) + 1
+  done;
+  for b = 1 to nbk do
+    starts.(b) <- starts.(b) + starts.(b - 1)
+  done;
+  let items =
+    lazy
+      (let items = Array.make starts.(nbk) 0 in
+       for i = n - 1 downto 0 do
+         let b = bkt.(i) - off in
+         if b >= 0 then begin
+           let pos = starts.(b + 1) - 1 in
+           starts.(b + 1) <- pos;
+           items.(pos) <- (match row with None -> i | Some r -> r.(i))
+         end
+       done;
+       for b = 0 to nbk - 1 do
+         starts.(b) <- starts.(b + 1)
+       done;
+       starts.(nbk) <- Array.length items;
+       items)
+  in
+  (starts, items)
+
+(* An equijoin's key matching, shared by the join ({!join_step}) and the join
+   count ({!count_slab}): one bucket per key. The build side, ascending, is
+   [nk] rows; row [q] is physical row [bphys.(q)] ([None] = [q]) in bucket
+   [bkey.(q) - off] (negative: a NULL key, in none), and [starts]/[items]
+   list the rows bucket by bucket ({!by_bucket}). [probe buf lo hi] writes
+   the buckets of probe rows [lo, hi) to [buf.(0)] on, [-1] for none. *)
+type keys = {
+  nbk : int;
+  nk : int;
+  bkey : int array;
+  off : int;
+  bphys : int array option;
+  starts : int array;
+  items : int array Lazy.t;
+  np : int;
+  probe : int array -> int -> int -> unit;
+}
+
+(* Probe rows [lo, hi) a block at a time into one small buffer: [f buf l n]
+   for each block of rows [l, l + n), in order, row [l + j]'s bucket in
+   [buf.(j)]. *)
+let probe_blocks (k : keys) ~lo ~hi f =
+  let buf = Array.make 256 0 in
+  let l = ref lo in
+  while !l < hi do
+    let h = min hi (!l + 256) in
+    k.probe buf !l h;
+    f buf !l (h - !l);
+    l := h
+  done
+
+(* [f i b] for each probe row [i] in order whose bucket is [b]. *)
+let iter_probe (k : keys) f =
+  probe_blocks k ~lo:0 ~hi:k.np (fun buf l n ->
+      for j = 0 to n - 1 do
+        let b = buf.(j) in
+        if b >= 0 then f (l + j) b
+      done)
+
+(* Bucket the build side, table [bt]'s filtered rows, on its column
+   [build_off], and look up every probe row of [slab] on [probe_ci].
+   Strategy selection replicates the row join: dense counting-sort buckets
+   for small-int keys in a modest range, then an unboxed int-keyed table, a
+   string table (scalar-keyed in the row engine, but only strings can match
+   a string column), or the boxed scalar table. A table numbers its keys in
+   first appearance. *)
+let key_buckets ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array option) : keys =
   let bchunk = ctx.chunks.(bt) in
   let bcol = bchunk.Chunk.cols.(build_off) in
   let nb = match bsel with None -> bchunk.Chunk.n | Some s -> Array.length s in
-  let iter_build f =
-    match bsel with
-    | None ->
-        for p = 0 to bchunk.Chunk.n - 1 do
-          f p
-        done
-    | Some s -> Array.iter f s
-  in
+  let bphys_of q = match bsel with None -> q | Some s -> s.(q) in
   let pt = ctx.col_tbl.(probe_ci) in
   let pcol = ctx.chunks.(pt).Chunk.cols.(ctx.col_off.(probe_ci)) in
   let pphys = phys_of slab pt in
   let pnn = not_null_fn pcol in
   let pfetch = fetcher ctx slab probe_ci in
-  let pmap = map_of slab pt in
-  (* probe-side key extraction mirroring Row_table.int_key_of *)
-  let probe_int : (int -> int option) Lazy.t =
-    lazy
-      (match pcol.Chunk.data with
-      | Chunk.Ints a ->
-          fun i ->
-            let p = pphys i in
-            if pnn p && small_int a.(p) then Some a.(p) else None
-      | Chunk.Floats _ | Chunk.Boxed ->
-          fun i ->
-            let v = pfetch i in
-            if Value.is_null v then None else Row_table.int_key_of v
-      | Chunk.Strings _ -> fun _ -> None)
+  let keys ~nbk ~nk bkey ~off bphys probe =
+    let starts, items = by_bucket ~nbk ~n:nk bkey ~off bphys in
+    { nbk; nk; bkey; off; bphys; starts; items; np = slab.n; probe }
   in
-  let probe_str : (int -> string option) Lazy.t =
-    lazy
-      (match pcol.Chunk.data with
-      | Chunk.Strings s ->
-          fun i ->
-            let p = pphys i in
-            if s.Chunk.codes.(p) >= 0 then Some s.Chunk.vals.(p) else None
-      | Chunk.Boxed -> (
-          fun i -> match pfetch i with Value.String s -> Some s | _ -> None)
-      | _ -> fun _ -> None)
-  in
-  let np = slab.n in
-  (* Generic emit: probe rows in logical order, candidates per probe row in
-     build row order, through a per-strategy candidate iterator. One closure
-     for the whole loop, not one per probe row. *)
-  let emit_generic (cand : int -> (int -> unit) -> unit) : int array * int array =
-    let chunkf lo hi =
-      let op = Vec.create () and ob = Vec.create () in
-      let cur = ref 0 in
-      let push p =
-        Vec.push op !cur;
-        Vec.push ob p
-      in
-      for i = lo to hi - 1 do
-        cur := i;
-        cand i push
-      done;
-      (Vec.to_array op, Vec.to_array ob)
+  let hashed (type k) (module H : Hashtbl.S with type key = k) ~n (key : int -> k option)
+      (bphys : int array option) (probe_key : int -> k option) =
+    let tbl = H.create (max 16 n) in
+    let bkey =
+      Array.init n (fun q ->
+          match key q with
+          | None -> -1
+          | Some k -> (
+              match H.find_opt tbl k with
+              | Some b -> b
+              | None ->
+                  let b = H.length tbl in
+                  H.replace tbl k b;
+                  b))
     in
-    match Parallel.gather ctx.pool np chunkf with
-    | None -> chunkf 0 np
+    keys ~nbk:(H.length tbl) ~nk:n bkey ~off:0 bphys (fun buf lo hi ->
+        for i = lo to hi - 1 do
+          buf.(i - lo) <-
+            (match probe_key i with
+            | None -> -1
+            | Some k -> ( match H.find_opt tbl k with Some b -> b | None -> -1))
+        done)
+  in
+  (* probe-side key extraction mirroring Row_table.int_key_of *)
+  let probe_int : int -> int option =
+    match pcol.Chunk.data with
+    | Chunk.Ints a ->
+        fun i ->
+          let p = pphys i in
+          if pnn p && small_int a.(p) then Some a.(p) else None
+    | Chunk.Floats _ | Chunk.Boxed ->
+        fun i ->
+          let v = pfetch i in
+          if Value.is_null v then None else Row_table.int_key_of v
+    | Chunk.Strings _ -> fun _ -> None
+  in
+  let probe_value i =
+    let v = pfetch i in
+    if Value.is_null v then None else Some v
+  in
+  match bcol.Chunk.data with
+  | Chunk.Ints a ->
+      (* the build rows with a key, ascending; monomorphic. An unselected
+         null-free column is its own key array ([kphys] = identity, no
+         copies at all). *)
+      let bkey, kphys, nk =
+        match (bsel, bcol.Chunk.nulls) with
+        | None, None -> (a, None, bchunk.Chunk.n)
+        | _, mask ->
+            let mask = Option.value mask ~default:[||] in
+            let bkey = Array.make (max nb 1) 0 and kp = Array.make (max nb 1) 0 in
+            let nk = ref 0 in
+            for q = 0 to nb - 1 do
+              let p = match bsel with None -> q | Some s -> s.(q) in
+              if Array.length mask = 0 || not mask.(p) then begin
+                bkey.(!nk) <- a.(p);
+                kp.(!nk) <- p;
+                incr nk
+              end
+            done;
+            (bkey, Some kp, !nk)
+      in
+      let all_small = ref true in
+      let lo = ref max_int and hi = ref min_int in
+      for q = 0 to nk - 1 do
+        let v = bkey.(q) in
+        if not (small_int v) then all_small := false;
+        if v < !lo then lo := v;
+        if v > !hi then hi := v
+      done;
+      let lo = !lo and hi = !hi in
+      let range = if nk = 0 then 0 else hi - lo + 1 in
+      if not !all_small then
+        (* the row engine would use the boxed scalar table *)
+        hashed (module Row_table.Scalar) ~n:nk (fun q -> Some (Value.Int bkey.(q))) kphys probe_value
+      else if range > 0 && range <= max 1024 (8 * nb) then
+        (* dense id keys: a bucket per value in [lo, hi], no hashing at all.
+           [lo..hi] are small ints, so any probe key inside the range passes
+           Row_table's small-int guard for free. *)
+        keys ~nbk:range ~nk bkey ~off:lo kphys
+          (match pcol.Chunk.data with
+          | Chunk.Ints pa ->
+              let mask = Option.value pcol.Chunk.nulls ~default:[||] in
+              let pmap = map_of slab pt in
+              fun buf plo phi ->
+                for i = plo to phi - 1 do
+                  let p = match pmap with None -> i | Some m -> m.(i) in
+                  let k = pa.(p) in
+                  buf.(i - plo) <-
+                    (if (Array.length mask = 0 || not mask.(p)) && k >= lo && k <= hi then
+                       k - lo
+                     else -1)
+                done
+          | _ ->
+              fun buf plo phi ->
+                for i = plo to phi - 1 do
+                  buf.(i - plo) <-
+                    (match probe_int i with Some k when k >= lo && k <= hi -> k - lo | _ -> -1)
+                done)
+      else hashed (module Row_table.Int_key) ~n:nk (fun q -> Some bkey.(q)) kphys probe_int
+  | Chunk.Strings s ->
+      hashed
+        (module Str_table)
+        ~n:nb
+        (fun q ->
+          let p = bphys_of q in
+          if s.Chunk.codes.(p) >= 0 then Some s.Chunk.vals.(p) else None)
+        bsel
+        (match pcol.Chunk.data with
+        | Chunk.Strings ps ->
+            fun i ->
+              let p = pphys i in
+              if ps.Chunk.codes.(p) >= 0 then Some ps.Chunk.vals.(p) else None
+        | Chunk.Boxed -> (
+            fun i -> match pfetch i with Value.String s -> Some s | _ -> None)
+        | _ -> fun _ -> None)
+  | Chunk.Floats _ | Chunk.Boxed ->
+      let rows = bchunk.Chunk.rows in
+      hashed (module Row_table.Scalar) ~n:nb
+        (fun q ->
+          let v = rows.(bphys_of q).(build_off) in
+          if Value.is_null v then None else Some v)
+        bsel probe_value
+
+(* Join the accumulated slab (probe side, logical row order preserved) with
+   table [bt]'s filtered rows (build side) on [probe_ci = build col]. The
+   candidate order per key is the build side's ascending row order and the
+   output follows the probe scan — exactly the row engine's hash join. *)
+let join_step ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array option) : slab =
+  let k = key_buckets ctx slab ~bt ~probe_ci ~build_off bsel in
+  let starts = k.starts and items = Lazy.force k.items in
+  (* a counting probe, then a probe filling arrays of exactly that size *)
+  let chunkf lo hi =
+    let total = ref 0 in
+    probe_blocks k ~lo ~hi (fun buf _ n ->
+        for j = 0 to n - 1 do
+          let b = buf.(j) in
+          if b >= 0 then total := !total + starts.(b + 1) - starts.(b)
+        done);
+    let op = Array.make !total 0 and ob = Array.make !total 0 in
+    let w = ref 0 in
+    probe_blocks k ~lo ~hi (fun buf l n ->
+        for j = 0 to n - 1 do
+          let b = buf.(j) in
+          if b >= 0 then
+            for q = starts.(b) to starts.(b + 1) - 1 do
+              op.(!w) <- l + j;
+              ob.(!w) <- items.(q);
+              incr w
+            done
+        done);
+    (op, ob)
+  in
+  let opa, oba =
+    match Parallel.gather ctx.pool slab.n chunkf with
+    | None -> chunkf 0 slab.n
     | Some parts ->
         ( Array.concat (List.map fst (Array.to_list parts)),
           Array.concat (List.map snd (Array.to_list parts)) )
-  in
-  (* Strategy selection replicates the row join: dense counting-sort for
-     small-int keys in a modest range, then an unboxed int-keyed table, a
-     string table (scalar-keyed in the row engine, but only strings can
-     match a string column), or the boxed scalar table. *)
-  let opa, oba =
-    match bcol.Chunk.data with
-    | Chunk.Ints a -> (
-        (* valid (key, physical row) pairs in build row order; monomorphic.
-           An unselected null-free column is its own key array ([kphys] =
-           identity, no copies at all). *)
-        let keys, kphys, nk =
-          match (bsel, bcol.Chunk.nulls) with
-          | None, None -> (a, None, bchunk.Chunk.n)
-          | None, Some mask ->
-              let keys = Array.make (max nb 1) 0 and kp = Array.make (max nb 1) 0 in
-              let nk = ref 0 in
-              for p = 0 to bchunk.Chunk.n - 1 do
-                if not mask.(p) then begin
-                  keys.(!nk) <- a.(p);
-                  kp.(!nk) <- p;
-                  incr nk
-                end
-              done;
-              (keys, Some kp, !nk)
-          | Some s, None ->
-              let keys = Array.make (max nb 1) 0 and kp = Array.make (max nb 1) 0 in
-              for q = 0 to Array.length s - 1 do
-                let p = s.(q) in
-                keys.(q) <- a.(p);
-                kp.(q) <- p
-              done;
-              (keys, Some kp, Array.length s)
-          | Some s, Some mask ->
-              let keys = Array.make (max nb 1) 0 and kp = Array.make (max nb 1) 0 in
-              let nk = ref 0 in
-              for q = 0 to Array.length s - 1 do
-                let p = s.(q) in
-                if not mask.(p) then begin
-                  keys.(!nk) <- a.(p);
-                  kp.(!nk) <- p;
-                  incr nk
-                end
-              done;
-              (keys, Some kp, !nk)
-        in
-        let all_small = ref true in
-        let lo = ref max_int and hi = ref min_int in
-        for q = 0 to nk - 1 do
-          let v = keys.(q) in
-          if not (small_int v) then all_small := false;
-          if v < !lo then lo := v;
-          if v > !hi then hi := v
-        done;
-        if not !all_small then begin
-          (* the row engine would use the boxed scalar table *)
-          let tbl : int Vec.t Row_table.Scalar.t = Row_table.Scalar.create (max 16 nb) in
-          for q = 0 to nk - 1 do
-            let v = Value.Int keys.(q) in
-            let p = match kphys with None -> q | Some kp -> kp.(q) in
-            match Row_table.Scalar.find_opt tbl v with
-            | Some cell -> Vec.push cell p
-            | None ->
-                let cell = Vec.create () in
-                Vec.push cell p;
-                Row_table.Scalar.replace tbl v cell
-          done;
-          emit_generic (fun i f ->
-              let v = pfetch i in
-              if not (Value.is_null v) then
-                match Row_table.Scalar.find_opt tbl v with
-                | None -> ()
-                | Some cell -> Vec.iter f cell)
-        end
-        else begin
-          let lo = !lo and hi = !hi in
-          let range = if nk = 0 then 0 else hi - lo + 1 in
-          if range > 0 && range <= max 1024 (8 * nb) then begin
-            (* dense id keys: counting-sort buckets, no hashing at all *)
-            (* counting sort without a separate cursor array: count into
-               [starts], inclusive prefix sum (so [starts.(b)] = bucket end),
-               then fill in descending [q] with [starts.(b)] as a falling
-               cursor. Descending order into falling positions keeps
-               build-row order inside each bucket, and the cursor comes to
-               rest at the bucket start, restoring the usual
-               [starts.(b) .. starts.(b+1)-1] layout for the probe. *)
-            let starts = Array.make (range + 1) 0 in
-            for q = 0 to nk - 1 do
-              let b = keys.(q) - lo in
-              starts.(b) <- starts.(b) + 1
-            done;
-            for i = 1 to range - 1 do
-              starts.(i) <- starts.(i) + starts.(i - 1)
-            done;
-            starts.(range) <- nk;
-            let items = Array.make (max nk 1) 0 in
-            (match kphys with
-            | None ->
-                for q = nk - 1 downto 0 do
-                  let b = keys.(q) - lo in
-                  let pos = starts.(b) - 1 in
-                  starts.(b) <- pos;
-                  items.(pos) <- q
-                done
-            | Some kp ->
-                for q = nk - 1 downto 0 do
-                  let b = keys.(q) - lo in
-                  let pos = starts.(b) - 1 in
-                  starts.(b) <- pos;
-                  items.(pos) <- kp.(q)
-                done);
-            match pcol.Chunk.data with
-            | Chunk.Ints pa ->
-                (* fused dense probe: count pass then exact-size fill pass.
-                   [lo..hi] are small ints, so any probe key inside the
-                   range passes Row_table's small-int guard for free. *)
-                let pmask = pcol.Chunk.nulls in
-                let chunkf plo phi =
-                  let total = ref 0 in
-                  (match (pmap, pmask) with
-                  | None, None ->
-                      for i = plo to phi - 1 do
-                        let k = pa.(i) in
-                        if k >= lo && k <= hi then
-                          total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                      done
-                  | None, Some mask ->
-                      for i = plo to phi - 1 do
-                        if not mask.(i) then begin
-                          let k = pa.(i) in
-                          if k >= lo && k <= hi then
-                            total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                        end
-                      done
-                  | Some m, None ->
-                      for i = plo to phi - 1 do
-                        let k = pa.(m.(i)) in
-                        if k >= lo && k <= hi then
-                          total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                      done
-                  | Some m, Some mask ->
-                      for i = plo to phi - 1 do
-                        let p = m.(i) in
-                        if not mask.(p) then begin
-                          let k = pa.(p) in
-                          if k >= lo && k <= hi then
-                            total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                        end
-                      done);
-                  let op = Array.make !total 0 and ob = Array.make !total 0 in
-                  let w = ref 0 in
-                  (match (pmap, pmask) with
-                  | None, None ->
-                      for i = plo to phi - 1 do
-                        let k = pa.(i) in
-                        if k >= lo && k <= hi then
-                          for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                            op.(!w) <- i;
-                            ob.(!w) <- items.(q);
-                            incr w
-                          done
-                      done
-                  | None, Some mask ->
-                      for i = plo to phi - 1 do
-                        if not mask.(i) then begin
-                          let k = pa.(i) in
-                          if k >= lo && k <= hi then
-                            for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                              op.(!w) <- i;
-                              ob.(!w) <- items.(q);
-                              incr w
-                            done
-                        end
-                      done
-                  | Some m, None ->
-                      for i = plo to phi - 1 do
-                        let k = pa.(m.(i)) in
-                        if k >= lo && k <= hi then
-                          for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                            op.(!w) <- i;
-                            ob.(!w) <- items.(q);
-                            incr w
-                          done
-                      done
-                  | Some m, Some mask ->
-                      for i = plo to phi - 1 do
-                        let p = m.(i) in
-                        if not mask.(p) then begin
-                          let k = pa.(p) in
-                          if k >= lo && k <= hi then
-                            for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                              op.(!w) <- i;
-                              ob.(!w) <- items.(q);
-                              incr w
-                            done
-                        end
-                      done);
-                  (op, ob)
-                in
-                (match Parallel.gather ctx.pool np chunkf with
-                | None -> chunkf 0 np
-                | Some parts ->
-                    ( Array.concat (List.map fst (Array.to_list parts)),
-                      Array.concat (List.map snd (Array.to_list parts)) ))
-            | _ ->
-                let probe_int = Lazy.force probe_int in
-                emit_generic (fun i f ->
-                    match probe_int i with
-                    | Some k when k >= lo && k <= hi ->
-                        for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                          f items.(q)
-                        done
-                    | _ -> ())
-          end
-          else begin
-            let tbl : int Vec.t Row_table.Int_key.t =
-              Row_table.Int_key.create (max 16 nb)
-            in
-            for q = 0 to nk - 1 do
-              let k = keys.(q) in
-              let p = match kphys with None -> q | Some kp -> kp.(q) in
-              match Row_table.Int_key.find_opt tbl k with
-              | Some cell -> Vec.push cell p
-              | None ->
-                  let cell = Vec.create () in
-                  Vec.push cell p;
-                  Row_table.Int_key.replace tbl k cell
-            done;
-            let probe_int = Lazy.force probe_int in
-            emit_generic (fun i f ->
-                match probe_int i with
-                | None -> ()
-                | Some k -> (
-                    match Row_table.Int_key.find_opt tbl k with
-                    | None -> ()
-                    | Some cell -> Vec.iter f cell))
-          end
-        end)
-    | Chunk.Strings s ->
-        let tbl : (string, int Vec.t) Hashtbl.t = Hashtbl.create (max 16 nb) in
-        iter_build (fun p ->
-            if s.Chunk.codes.(p) >= 0 then begin
-              let v = s.Chunk.vals.(p) in
-              match Hashtbl.find_opt tbl v with
-              | Some cell -> Vec.push cell p
-              | None ->
-                  let cell = Vec.create () in
-                  Vec.push cell p;
-                  Hashtbl.replace tbl v cell
-            end);
-        let probe_str = Lazy.force probe_str in
-        emit_generic (fun i f ->
-            match probe_str i with
-            | None -> ()
-            | Some v -> (
-                match Hashtbl.find_opt tbl v with
-                | None -> ()
-                | Some cell -> Vec.iter f cell))
-    | Chunk.Floats _ | Chunk.Boxed ->
-        let rows = bchunk.Chunk.rows in
-        let tbl : int Vec.t Row_table.Scalar.t = Row_table.Scalar.create (max 16 nb) in
-        iter_build (fun p ->
-            let v = rows.(p).(build_off) in
-            if not (Value.is_null v) then
-              match Row_table.Scalar.find_opt tbl v with
-              | Some cell -> Vec.push cell p
-              | None ->
-                  let cell = Vec.create () in
-                  Vec.push cell p;
-                  Row_table.Scalar.replace tbl v cell);
-        emit_generic (fun i f ->
-            let v = pfetch i in
-            if not (Value.is_null v) then
-              match Row_table.Scalar.find_opt tbl v with
-              | None -> ()
-              | Some cell -> Vec.iter f cell)
   in
   let n_out = Array.length opa in
   let maps = Array.make (Array.length ctx.chunks) (Lazy.from_val None) in
@@ -1110,11 +1023,16 @@ let build_left_order ctx (slab : slab) ~bt : slab =
   in
   { slab with maps }
 
+(* The first table's filtered rows, as the slab joins start from. *)
+let scan_slab ctx (sels : int array option array) : slab =
+  let maps = Array.make (Array.length sels) (Lazy.from_val None) in
+  maps.(0) <- Lazy.from_val sels.(0);
+  { n = (match sels.(0) with None -> ctx.chunks.(0).Chunk.n | Some s -> Array.length s); maps }
+
 let build_slab ctx (steps : step array) : slab =
   let sels = Array.mapi (fun t s -> selection_of ctx t s) steps in
   let keys = join_keys ctx steps in
-  let slab = ref { n = (match sels.(0) with None -> ctx.chunks.(0).Chunk.n | Some s -> Array.length s); maps = Array.make (Array.length steps) (Lazy.from_val None) } in
-  (!slab).maps.(0) <- Lazy.from_val sels.(0);
+  let slab = ref (scan_slab ctx sels) in
   for t = 1 to Array.length steps - 1 do
     match keys.(t) with
     | None -> fallback ()
@@ -1123,6 +1041,81 @@ let build_slab ctx (steps : step array) : slab =
         if steps.(t).s_build_left then slab := build_left_order ctx !slab ~bt:t
   done;
   !slab
+
+(* --- join counts ------------------------------------------------------------ *)
+
+(* COUNT( * ) over a two-table equijoin without building it. The join output
+   is its ordering side's rows in order — the probe table's logical rows, or
+   the joined table's rows ascending when the plan builds left — each
+   followed by the other side's rows of the same key in their order. The
+   keys are {!key_buckets}', so equality is the join's. [count_slab] returns
+   rows of table [gt] in the order they first appear in that output, each
+   weighted by the join rows it stands for; grouping them ({!run_grouped}
+   with [weights]) gives the join's groups, in its order, with its counts.
+   Without [gt] it is one row weighted by the join's size, or none. The
+   other table's map is never read. *)
+let count_slab ctx (steps : step array) ~(gt : int option) : slab * int array =
+  let sels = Array.mapi (fun t s -> selection_of ctx t s) steps in
+  let li, ri = match (join_keys ctx steps).(1) with Some k -> k | None -> fallback () in
+  let k = key_buckets ctx (scan_slab ctx sels) ~bt:1 ~probe_ci:li ~build_off:ri sels.(1) in
+  let size b = k.starts.(b + 1) - k.starts.(b) in
+  let rows = Vec.create () and weights = Vec.create () in
+  let push r w =
+    Vec.push rows r;
+    Vec.push weights w
+  in
+  let phys sel i = match sel with None -> i | Some s -> s.(i) in
+  (match (gt, steps.(1).s_build_left) with
+  | None, _ ->
+      let total = ref 0 in
+      iter_probe k (fun _ b -> total := !total + size b);
+      if !total > 0 then push 0 !total
+  | Some 0, false ->
+      (* the probe rows that match, in order *)
+      iter_probe k (fun i b ->
+          let c = size b in
+          if c > 0 then push (phys sels.(0) i) c)
+  | Some _, false ->
+      (* a bucket's build rows at its first hit, weighted by its hits *)
+      let hits = Array.make k.nbk 0 and order = Vec.create () in
+      iter_probe k (fun _ b ->
+          if hits.(b) = 0 then Vec.push order b;
+          hits.(b) <- hits.(b) + 1);
+      let items = Lazy.force k.items in
+      Vec.iter
+        (fun b ->
+          for q = k.starts.(b) to k.starts.(b + 1) - 1 do
+            push items.(q) hits.(b)
+          done)
+        order
+  | Some 1, true ->
+      (* the build rows that match, ascending *)
+      let hits = Array.make k.nbk 0 in
+      iter_probe k (fun _ b -> hits.(b) <- hits.(b) + 1);
+      for q = 0 to k.nk - 1 do
+        let b = k.bkey.(q) - k.off in
+        if b >= 0 && hits.(b) > 0 then push (phys k.bphys q) hits.(b)
+      done
+  | Some _, true ->
+      (* a bucket's probe rows at its first build row, weighted by its size *)
+      let pb = Array.make k.np 0 in
+      k.probe pb 0 k.np;
+      let pstarts, pitems = by_bucket ~nbk:k.nbk ~n:k.np pb ~off:0 sels.(0) in
+      let pitems = Lazy.force pitems and seen = Array.make k.nbk false in
+      for q = 0 to k.nk - 1 do
+        let b = k.bkey.(q) - k.off in
+        if b >= 0 && not seen.(b) then begin
+          seen.(b) <- true;
+          for r = pstarts.(b) to pstarts.(b + 1) - 1 do
+            push pitems.(r) (size b)
+          done
+        end
+      done);
+  let maps =
+    Array.init 2 (fun t ->
+        if gt = Some t then Lazy.from_val (Some (Vec.to_array rows)) else lazy (fallback ()))
+  in
+  ({ n = Vec.length rows; maps }, Vec.to_array weights)
 
 (* --- projection / aggregation tails ------------------------------------------ *)
 
@@ -1881,8 +1874,10 @@ type task = {
 
 (* The grouped tail: replicates select_tail's grouped path over the slab,
    with eager typed accumulators when every slot admits one, and the exact
-   lazy compute_iter evaluation otherwise. *)
-let run_grouped ctx (slab : slab) (task : task)
+   lazy compute_iter evaluation otherwise. With [weights], logical row [i]
+   stands for [weights.(i)] rows of its group ({!count_slab}), and every
+   slot is COUNT( * ). *)
+let run_grouped ?weights ctx (slab : slab) (task : task)
     (projections : (Ast.expr * string) list) (out_headers : header array) : result_set =
   let n = slab.n in
   let kcis =
@@ -1936,18 +1931,22 @@ let run_grouped ctx (slab : slab) (task : task)
   let values_of : int -> Value.t Lazy.t array =
     match eager_slots with
     | Some eagers ->
-        if single_group then gcount.(0) <- n
-        else
-          for i = 0 to n - 1 do
-            let g = gids.(i) in
-            gcount.(g) <- gcount.(g) + 1
-          done;
+        (match weights with
+        | Some w -> Array.iteri (fun i c -> gcount.(gid gids i) <- gcount.(gid gids i) + c) w
+        | None ->
+            if single_group then gcount.(0) <- n
+            else
+              for i = 0 to n - 1 do
+                let g = gids.(i) in
+                gcount.(g) <- gcount.(g) + 1
+              done);
         List.iter (fun (e : eager) -> e.run ()) eagers;
         let eagers = Array.of_list eagers in
         fun g -> Array.map (fun (e : eager) -> Lazy.from_val (e.value g)) eagers
     | None ->
         (* generic path: per-group row lists + Aggregate.compute_iter with
            argument closures evaluated over a scratch row *)
+        assert (weights = None);
         let grows =
           if single_group then begin
             let all = Vec.create () in
@@ -2028,12 +2027,38 @@ let run_grouped ctx (slab : slab) (task : task)
   done;
   { chead = out_headers; crows = out }
 
+(* The table whose columns a grouped body over two tables reads, when the
+   body is a join count: every aggregate is COUNT( * ), the group keys are
+   columns, and they and every other column read come from one table.
+   [Some None]: no column is read. *)
+let count_shape ctx (task : task) (projections : (Ast.expr * string) list) =
+  let counts_only e =
+    no_subquery e
+    && Ast.fold_expr
+         (fun ok e -> ok && match e with Ast.Agg _ -> e = Ast.count_star | _ -> true)
+         true e
+  in
+  let exprs = task.group_by @ List.map fst projections @ Option.to_list task.having in
+  if
+    Array.length task.steps <> 2
+    || (not (List.for_all counts_only exprs))
+    || not (List.for_all (function Ast.Col _ -> true | _ -> false) task.group_by)
+  then None
+  else
+    let table_of c =
+      match Compiled.resolve_opt ctx.headers c with Some ci -> ctx.col_tbl.(ci) | None -> -1
+    in
+    match List.sort_uniq compare (List.concat_map Ast.expr_columns exprs |> List.map table_of) with
+    | [] -> Some None
+    | [ t ] when t >= 0 -> Some (Some t)
+    | _ -> None
+
 (* Run one recognised select body (no ORDER BY handling): the WHERE-filtered
-   join pipeline plus either a plain column projection or the grouped tail. *)
+   join pipeline plus either a plain column projection or the grouped tail.
+   A join count ({!count_shape}) counts by key instead of joining. *)
 let run_body ?pool db (task : task) : result_set =
   ignore db;
   let ctx = ctx_of_steps pool task.steps in
-  let slab = build_slab ctx task.steps in
   let projections = Compiled.expand_projections ctx.headers task.projections in
   let any_agg =
     List.exists (fun (e, _) -> has_aggregate e) projections
@@ -2044,13 +2069,19 @@ let run_body ?pool db (task : task) : result_set =
       (List.map (fun ((_, name) : _ * string) -> { alias = None; name }) projections)
   in
   if task.group_by = [] && not any_agg then begin
+    let slab = build_slab ctx task.steps in
     (match task.having with Some _ -> fallback () | None -> ());
     List.iter (fun (e, _) -> plain_expr e) projections;
     let proj = projection_cols ctx projections in
     { chead = out_headers;
       crows = materialize ctx slab proj ~order:None ~start:0 ~take:slab.n }
   end
-  else run_grouped ctx slab task projections out_headers
+  else
+    match count_shape ctx task projections with
+    | Some gt ->
+        let slab, weights = count_slab ctx task.steps ~gt in
+        run_grouped ~weights ctx slab task projections out_headers
+    | None -> run_grouped ctx (build_slab ctx task.steps) task projections out_headers
 
 (* Full ungrouped queries including ORDER BY + LIMIT/OFFSET: sort keys come
    straight from the slab's typed columns ({!Key_sort}), only the surviving

@@ -13,7 +13,13 @@ module Ast = Flex_sql.Ast
     table over the dictionary (built when it is no larger than the rows
     filtered). Each morsel refines its selection in place and
     allocates only its survivors; an aggregate without GROUP BY allocates
-    no per-row group ids. The executor offers it every select body it may
+    no per-row group ids. A [COUNT( * )] over a two-table inner equijoin,
+    alone (with HAVING or arithmetic over it) or grouped by columns of one
+    table, is counted without building the join: each side's rows are
+    counted per join key, with the join's own key matching (NULL never
+    matches, an [Int] meets an equal [Float], a string only strings), and
+    the groups come out in the join's first-appearance order. Every other
+    shape is joined. The executor offers it every select body it may
     run — {!enabled} on, no bound CTEs, no correlated scope, no EXPLAIN
     ANALYZE trace — and is the one place that checks the switch.
 

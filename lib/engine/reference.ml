@@ -267,19 +267,20 @@ and join env kind (l : rel) (r : rel) (cond : Ast.join_cond) : rel =
           emit (Array.append lrow (null_row (Array.length r.headers))))
       l.rows
   | _, keys ->
-    (* Hash join on the equality keys. *)
-    let tbl = Hashtbl.create (max 16 (Array.length rarr)) in
+    (* Hash join on the equality keys, under SQL [=] (an Int meets an equal
+       Float). *)
+    let tbl = Row_table.create (max 16 (Array.length rarr)) in
     Array.iteri
       (fun ri rrow ->
-        let key = List.map (fun (_, rk) -> rrow.(rk)) keys in
-        if not (List.exists Value.is_null key) then
-          Hashtbl.add tbl key ri)
+        let key = Array.of_list (List.map (fun (_, rk) -> rrow.(rk)) keys) in
+        if not (Array.exists Value.is_null key) then
+          Row_table.add tbl key ri)
       rarr;
     List.iter
       (fun lrow ->
-        let key = List.map (fun (lk, _) -> lrow.(lk)) keys in
+        let key = Array.of_list (List.map (fun (lk, _) -> lrow.(lk)) keys) in
         let candidates =
-          if List.exists Value.is_null key then [] else Hashtbl.find_all tbl key
+          if Array.exists Value.is_null key then [] else Row_table.find_all tbl key
         in
         let matched = ref false in
         (* find_all returns newest-first; reverse for stable output order *)

@@ -1000,6 +1000,135 @@ let columnar_plan_tests =
 
 let suites = suites @ [ ("columnar-plan-differential", columnar_plan_tests) ]
 
+(* --- join counts by key: reference = row = columnar, never a fallback ------ *)
+
+(* Two tables whose join keys hold every trap of the count path: NULLs on
+   both sides, Int keys meeting equal Floats, strings (dictionary-coded, and
+   boxed beside ints), keys below zero, keys sparse past the dense range,
+   keys at and past 2^53, duplicates on both sides, and group columns with
+   NULLs. *)
+let join_count_fixture () =
+  let two_53 = 9007199254740992 in
+  let table name n =
+    Table.create ~name ~columns:[ "id"; "k"; "kf"; "ks"; "kmix"; "kneg"; "ksparse"; "kbig"; "g" ]
+      (List.init n (fun i ->
+           [|
+             v_int i;
+             (if i mod 6 = 0 then Value.Null else v_int (i mod 4));
+             (if i mod 5 = 0 then Value.Null else v_float (float_of_int (i mod 3)));
+             (match i mod 4 with 0 -> Value.Null | 1 -> v_str "x" | 2 -> v_str "y" | _ -> v_str "z");
+             (match i mod 3 with 0 -> v_int (i mod 4) | 1 -> v_float (float_of_int (i mod 4)) | _ -> v_str "x");
+             v_int ((i mod 5) - 3);
+             v_int ((i mod 4) * -100_000);
+             (if i mod 3 = 0 then v_int (two_53 + (i mod 2)) else v_int (i mod 4));
+             (if i mod 7 = 0 then Value.Null else v_str (if i mod 2 = 0 then "even" else "odd"));
+           |]))
+  in
+  Database.of_tables [ table "a" 30; table "b" 19 ]
+
+(* Counts the path answers by key: ungrouped, or grouped by one side. *)
+let join_count_queries =
+  let on = [ "k = b.k"; "k = b.kf"; "kf = b.k"; "kmix = b.k"; "k = b.kmix"; "ks = b.ks";
+             "ks = b.kmix"; "kmix = b.ks"; "kneg = b.kneg"; "ksparse = b.ksparse"; "kbig = b.kbig";
+             "kbig = b.kf"; "kf = b.kbig"; "k = b.kneg" ] in
+  List.concat_map
+    (fun c ->
+      let from = "FROM a JOIN b ON a." ^ c in
+      [
+        "SELECT COUNT(*) " ^ from;
+        "SELECT a.g, COUNT(*) " ^ from ^ " GROUP BY a.g";
+        "SELECT b.g, COUNT(*) " ^ from ^ " GROUP BY b.g";
+      ])
+    on
+  @ [
+      (* an empty filtered side, either way round *)
+      "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k WHERE b.id > 100";
+      "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k WHERE a.id < 0";
+      "SELECT a.g, COUNT(*) FROM a JOIN b ON a.k = b.k WHERE a.id < 0 GROUP BY a.g";
+      "SELECT b.g, COUNT(*) FROM a JOIN b ON a.ks = b.ks WHERE b.ks = 'w' GROUP BY b.g";
+      (* filters on both sides, several keys, HAVING and arithmetic over the count *)
+      "SELECT a.g, a.ks, COUNT(*), COUNT(*) * 2 FROM a JOIN b ON a.k = b.k \
+       WHERE a.id > 3 AND b.id < 15 GROUP BY a.g, a.ks HAVING COUNT(*) > 2";
+      "SELECT b.ks, b.g, COUNT(*) FROM a JOIN b ON a.kf = b.k WHERE b.g <> 'odd' \
+       GROUP BY b.ks, b.g";
+      "SELECT b.k, COUNT(*) FROM a JOIN b ON a.kmix = b.k GROUP BY b.k";
+      (* groups with no aggregate, and HAVING over a group column *)
+      "SELECT b.g FROM a JOIN b ON a.k = b.k GROUP BY b.g";
+      "SELECT a.ks, COUNT(*) FROM a JOIN b ON a.kf = b.kf GROUP BY a.ks HAVING a.ks <> 'y'";
+      "SELECT a.id, COUNT(*) FROM a JOIN b ON a.k = b.k GROUP BY a.id";
+      "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k HAVING COUNT(*) > 1000";
+      (* a column outside GROUP BY reads the group's first join row *)
+      "SELECT b.g, b.id, COUNT(*) FROM a JOIN b ON a.k = b.k GROUP BY b.g";
+      "SELECT a.ks, COUNT(*) FROM a JOIN b ON a.ks = b.ks";
+      (* a self-join, m:n on every key *)
+      "SELECT x.g, COUNT(*) FROM a x JOIN a y ON x.k = y.k WHERE y.id > 4 GROUP BY x.g";
+    ]
+
+(* Shapes that keep today's join, still on the columnar engine. *)
+let join_count_others =
+  [
+    "SELECT COUNT(b.k) FROM a JOIN b ON a.k = b.k";
+    "SELECT a.g, b.g, COUNT(*) FROM a JOIN b ON a.k = b.k GROUP BY a.g, b.g";
+    "SELECT a.g, SUM(b.kf) FROM a JOIN b ON a.k = b.k GROUP BY a.g";
+    "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k JOIN a c ON b.ks = c.ks";
+  ]
+
+(* A residual predicate across both tables: the row engine runs it, as it
+   did before counting by key. *)
+let join_count_residuals =
+  [
+    "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k AND a.id < b.id";
+    "SELECT a.g, COUNT(*) FROM a JOIN b ON a.k = b.k WHERE a.id + b.id > 10 GROUP BY a.g";
+  ]
+
+(* [sql] agrees 3-way as written, and row = columnar on its optimizer plan
+   and with every inner join built left. *)
+let check_join_count db metrics sql =
+  check_columnar_3way db sql;
+  let q = Flex_sql.Parser.parse_exn sql in
+  check_plan_agrees db sql (Optimizer.plan ~metrics q);
+  check_plan_agrees db sql (force_build_left q)
+
+let columnar_count_tests =
+  let db = lazy (join_count_fixture ()) in
+  let columnar name queries =
+    Alcotest.test_case name `Quick (fun () ->
+        let db = Lazy.force db in
+        let metrics = Metrics.compute db in
+        List.iter
+          (fun sql ->
+            let before = Executor.columnar_fallbacks () in
+            check_join_count db metrics sql;
+            Alcotest.(check int) (sql ^ ": no fallback") before (Executor.columnar_fallbacks ()))
+          queries)
+  in
+  [
+    columnar "key traps agree 3-way in both build orientations" join_count_queries;
+    columnar "other shapes keep the join and agree" join_count_others;
+    Alcotest.test_case "residual predicates keep the row join and agree" `Quick (fun () ->
+        let db = Lazy.force db in
+        List.iter (check_join_count db (Metrics.compute db)) join_count_residuals);
+    Alcotest.test_case "generated join counts and their cores agree" `Quick (fun () ->
+        let rng = Rng.create ~seed:12 () in
+        let db, metrics = Uber.generate ~sizes:Uber.small_sizes rng in
+        let queries = Qgen.generate rng ~count:120 ~n_cities:12 ~n_drivers:120 ~n_users:200 in
+        let joins = List.filter (fun (q : Qgen.t) -> q.has_join) queries in
+        Alcotest.(check bool) "the corpus has joins" true (List.length joins > 30);
+        let before = Executor.columnar_fallbacks () in
+        List.iter
+          (fun (q : Qgen.t) ->
+            let core =
+              match Flex_sql.Factor.factor (Flex_sql.Parser.parse_exn q.sql) with
+              | Some f -> Flex_sql.Pretty.to_string f.Flex_sql.Factor.core
+              | None -> q.sql
+            in
+            List.iter (check_join_count db metrics) [ q.sql; core ])
+          joins;
+        Alcotest.(check int) "no fallback" before (Executor.columnar_fallbacks ()));
+  ]
+
+let suites = suites @ [ ("columnar-join-count", columnar_count_tests) ]
+
 (* --- explicit expectations for the new join/set-op edge cases ------------- *)
 
 let edge_expectation_tests =

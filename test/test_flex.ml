@@ -89,6 +89,13 @@ let mechanism_tests =
             "SELECT t.status, COUNT(*) FROM trips t GROUP BY t.status";
             "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
              GROUP BY c.name";
+            (* join counts by key: grouped on either side, and m:n *)
+            "SELECT d.vehicle, COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id \
+             WHERE t.status = 'completed' GROUP BY d.vehicle";
+            "SELECT t.status, COUNT(*) FROM trips t JOIN trips t2 ON t.rider_id = t2.rider_id \
+             WHERE t2.status = 'cancelled' GROUP BY t.status";
+            "SELECT COUNT(*) FROM users u JOIN user_tags g ON u.id = g.user_id \
+             WHERE g.tag = 'vip'";
           ];
         (* plans that hash their left input: the generated m:n self-join, the
            section 5.5 drivers x analytics program, and a float SUM whose

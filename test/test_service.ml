@@ -1150,6 +1150,42 @@ let run_crash_shape subject steps =
     steps;
   Sys.remove path
 
+(* Under [sync], [Journal.open_] and [Journal.rewrite] also fsync the
+   journal's directory. They leave the bytes an unsynced journal leaves,
+   whether the path names a subdirectory or is a bare file name, whose
+   directory is ".". *)
+let journal_sync_bytes ~sync path =
+  let module Journal = Flex_dp.Journal in
+  let session lines =
+    let j = Journal.open_ ~sync path ~decode:(fun l -> Ok l) ignore in
+    List.iter (Journal.append j) lines;
+    j
+  in
+  let j = session [ "a 1"; "b 2" ] in
+  Journal.rewrite j (List.to_seq [ "b 2"; "c 3" ]);
+  Journal.append j "d 4";
+  Journal.close j;
+  Journal.close (session [ "e 5" ]);
+  if Sys.file_exists (path ^ ".compact") then Alcotest.failf "%s.compact was left" path;
+  In_channel.with_open_bin path In_channel.input_all
+
+let journal_sync_test =
+  Alcotest.test_case "sync: open and rewrite fsync the directory, same bytes" `Quick (fun () ->
+      let dir = Filename.temp_dir "flex-journal" "" in
+      Sys.mkdir (Filename.concat dir "sub") 0o755;
+      let cwd = Sys.getcwd () in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.chdir cwd;
+          ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+        (fun () ->
+          Sys.chdir dir;
+          List.iter
+            (fun path ->
+              let plain = journal_sync_bytes ~sync:false (path ^ ".plain") in
+              Alcotest.(check string) path plain (journal_sync_bytes ~sync:true path))
+            [ "sub/releases.journal"; "ledger.journal" ]))
+
 let journal_crash_tests =
   List.concat_map
     (fun (name, make) ->
@@ -1159,6 +1195,7 @@ let journal_crash_tests =
               run_crash_shape (make ()) steps))
         crash_shapes)
     [ ("ledger", ledger_subject); ("release store", store_subject) ]
+  @ [ journal_sync_test ]
 
 (* --- every request concludes exactly once ---------------------------------------- *)
 

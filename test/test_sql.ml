@@ -520,3 +520,261 @@ let depth_tests =
   ]
 
 let suites = suites @ [ ("parser-depth", depth_tests) ]
+
+
+(* --- the printer against its previous, one-string-per-node version ---------- *)
+
+(* The printer as it was before it rendered into one buffer: every node built
+   with [Fmt.str]. The release store keys on the printed core, so the two
+   must agree byte for byte. *)
+module Fmt_pretty = struct
+  open Flex_sql
+  let escape_string s =
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        if c = '\'' then Buffer.add_string buf "''" else Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let needs_quoting name =
+    name = ""
+    || Token.is_keyword (String.uppercase_ascii name)
+    || (not (Lexer.is_ident_start name.[0]))
+    || String.exists (fun c -> not (Lexer.is_ident_char c)) name
+    || name <> String.lowercase_ascii name
+
+  let ident name = if needs_quoting name then Fmt.str "\"%s\"" name else name
+
+  let lit = function
+    | Ast.Null -> "NULL"
+    | Ast.Bool true -> "TRUE"
+    | Ast.Bool false -> "FALSE"
+    | Ast.Int i -> string_of_int i
+    | Ast.Float f ->
+      let s = Fmt.str "%.17g" f in
+      if String.contains s '.' || String.contains s 'e' || String.contains s 'n' then s
+      else s ^ ".0"
+    | Ast.String s -> Fmt.str "'%s'" (escape_string s)
+
+  let binop_symbol = function
+    | Ast.Add -> "+"
+    | Ast.Sub -> "-"
+    | Ast.Mul -> "*"
+    | Ast.Div -> "/"
+    | Ast.Mod -> "%"
+    | Ast.Eq -> "="
+    | Ast.Neq -> "<>"
+    | Ast.Lt -> "<"
+    | Ast.Le -> "<="
+    | Ast.Gt -> ">"
+    | Ast.Ge -> ">="
+    | Ast.And -> "AND"
+    | Ast.Or -> "OR"
+    | Ast.Concat -> "||"
+
+  let col_ref (c : Ast.col_ref) =
+    match c.table with
+    | Some t -> Fmt.str "%s.%s" (ident t) (ident c.column)
+    | None -> ident c.column
+
+  let rec expr (e : Ast.expr) =
+    match e with
+    | Lit l -> lit l
+    | Col c -> col_ref c
+    | Binop (op, a, b) -> Fmt.str "(%s %s %s)" (expr a) (binop_symbol op) (expr b)
+    | Unop (Not, a) -> Fmt.str "(NOT %s)" (expr a)
+    | Unop (Neg, a) -> Fmt.str "(- %s)" (expr a)
+    | Agg { func; distinct; arg } ->
+      let name = String.uppercase_ascii (Ast.agg_func_name func) in
+      let body =
+        match arg with
+        | Ast.Star -> "*"
+        | Ast.Arg a -> Fmt.str "%s%s" (if distinct then "DISTINCT " else "") (expr a)
+      in
+      Fmt.str "%s(%s)" name body
+    | Func (name, args) ->
+      Fmt.str "%s(%s)" (ident name) (String.concat ", " (List.map expr args))
+    | Case { operand; branches; else_ } ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf "CASE";
+      Option.iter (fun o -> Buffer.add_string buf (" " ^ expr o)) operand;
+      List.iter
+        (fun (c, v) ->
+          Buffer.add_string buf (Fmt.str " WHEN %s THEN %s" (expr c) (expr v)))
+        branches;
+      Option.iter (fun e -> Buffer.add_string buf (Fmt.str " ELSE %s" (expr e))) else_;
+      Buffer.add_string buf " END";
+      Buffer.contents buf
+    | In { subject; negated; set } ->
+      let set_str =
+        match set with
+        | In_list es -> String.concat ", " (List.map expr es)
+        | In_query q -> query q
+      in
+      Fmt.str "(%s %sIN (%s))" (expr subject) (if negated then "NOT " else "") set_str
+    | Between { subject; negated; lo; hi } ->
+      Fmt.str "(%s %sBETWEEN %s AND %s)" (expr subject)
+        (if negated then "NOT " else "")
+        (expr lo) (expr hi)
+    | Like { subject; negated; pattern } ->
+      Fmt.str "(%s %sLIKE %s)" (expr subject) (if negated then "NOT " else "") (expr pattern)
+    | Is_null { subject; negated } ->
+      Fmt.str "(%s IS %sNULL)" (expr subject) (if negated then "NOT " else "")
+    | Exists q -> Fmt.str "EXISTS (%s)" (query q)
+    | Scalar_subquery q -> Fmt.str "(%s)" (query q)
+    | Cast (a, ty) -> Fmt.str "CAST(%s AS %s)" (expr a) ty
+
+  and projection = function
+    | Ast.Proj_star -> "*"
+    | Ast.Proj_table_star t -> Fmt.str "%s.*" (ident t)
+    | Ast.Proj_expr (e, None) -> expr e
+    | Ast.Proj_expr (e, Some a) -> Fmt.str "%s AS %s" (expr e) (ident a)
+
+  and table_ref (r : Ast.table_ref) =
+    match r with
+    | Table { name; alias } ->
+      let qualified =
+        (* schema-qualified names are stored with an embedded dot *)
+        String.concat "." (List.map ident (String.split_on_char '.' name))
+      in
+      (match alias with
+      | Some a -> Fmt.str "%s AS %s" qualified (ident a)
+      | None -> qualified)
+    | Derived { query = q; alias } -> Fmt.str "(%s) AS %s" (query q) (ident alias)
+    | Join { kind; left; right; cond } -> (
+      let kind_str = Ast.join_kind_name kind in
+      let left_str = table_ref left in
+      let right_str =
+        match right with
+        | Join _ -> Fmt.str "(%s)" (table_ref right)
+        | Table _ | Derived _ -> table_ref right
+      in
+      match cond with
+      | On e -> Fmt.str "%s %s %s ON %s" left_str kind_str right_str (expr e)
+      | Using cols ->
+        Fmt.str "%s %s %s USING (%s)" left_str kind_str right_str
+          (String.concat ", " (List.map ident cols))
+      | Natural -> Fmt.str "%s NATURAL %s %s" left_str kind_str right_str
+      | Cond_none -> Fmt.str "%s %s %s" left_str kind_str right_str)
+
+  and select (s : Ast.select) =
+    let buf = Buffer.create 128 in
+    Buffer.add_string buf "SELECT ";
+    if s.distinct then Buffer.add_string buf "DISTINCT ";
+    Buffer.add_string buf (String.concat ", " (List.map projection s.projections));
+    if s.from <> [] then begin
+      Buffer.add_string buf " FROM ";
+      Buffer.add_string buf (String.concat ", " (List.map table_ref s.from))
+    end;
+    Option.iter (fun e -> Buffer.add_string buf (" WHERE " ^ expr e)) s.where;
+    if s.group_by <> [] then begin
+      Buffer.add_string buf " GROUP BY ";
+      Buffer.add_string buf (String.concat ", " (List.map expr s.group_by))
+    end;
+    Option.iter (fun e -> Buffer.add_string buf (" HAVING " ^ expr e)) s.having;
+    Buffer.contents buf
+
+  and body (b : Ast.body) =
+    match b with
+    | Select s -> select s
+    | Union { all; left; right } ->
+      Fmt.str "%s UNION %s%s" (set_operand left) (if all then "ALL " else "") (set_operand right)
+    | Except { all; left; right } ->
+      Fmt.str "%s EXCEPT %s%s" (set_operand left) (if all then "ALL " else "") (set_operand right)
+    | Intersect { all; left; right } ->
+      Fmt.str "%s INTERSECT %s%s" (set_operand left)
+        (if all then "ALL " else "")
+        (set_operand right)
+
+  and set_operand (b : Ast.body) =
+    match b with Select s -> select s | _ -> Fmt.str "(%s)" (body b)
+
+  and query (q : Ast.query) =
+    let buf = Buffer.create 128 in
+    if q.ctes <> [] then begin
+      Buffer.add_string buf "WITH ";
+      Buffer.add_string buf
+        (String.concat ", "
+           (List.map
+              (fun (c : Ast.cte) ->
+                let cols =
+                  match c.cte_columns with
+                  | [] -> ""
+                  | cols -> Fmt.str " (%s)" (String.concat ", " (List.map ident cols))
+                in
+                Fmt.str "%s%s AS (%s)" (ident c.cte_name) cols (query c.cte_query))
+              q.ctes));
+      Buffer.add_char buf ' '
+    end;
+    Buffer.add_string buf (body q.body);
+    if q.order_by <> [] then begin
+      Buffer.add_string buf " ORDER BY ";
+      Buffer.add_string buf
+        (String.concat ", "
+           (List.map
+              (fun (e, dir) ->
+                Fmt.str "%s %s" (expr e)
+                  (match dir with Ast.Asc -> "ASC" | Ast.Desc -> "DESC"))
+              q.order_by))
+    end;
+    Option.iter (fun n -> Buffer.add_string buf (Fmt.str " LIMIT %d" n)) q.limit;
+    Option.iter (fun n -> Buffer.add_string buf (Fmt.str " OFFSET %d" n)) q.offset;
+    Buffer.contents buf
+
+  let to_string = query
+end
+
+module W = Flex_workload
+
+(* Every Qgen query (seeds 11 and 12, with their population SQL), TPC-H, the
+   section 5.5 programs, the section 2 corpus and the kitchen sink, parsed,
+   with float literals and a CASE over an operand. *)
+let printer_corpus =
+  lazy
+    (let qgen seed =
+       List.concat_map
+         (fun (q : W.Qgen.t) -> [ q.sql; q.population_sql ])
+         (W.Qgen.generate (Flex_dp.Rng.create ~seed ()) ~count:1000 ~n_cities:40 ~n_drivers:1500
+            ~n_users:2500)
+     in
+     qgen 11 @ qgen 12
+     @ List.map (fun (q : W.Tpch.query) -> q.sql) W.Tpch.queries
+     @ List.map (fun (p : W.Representative.program) -> p.sql) W.Representative.programs
+     @ List.map
+         (fun (q : W.Corpus.qdesc) -> q.sql)
+         (W.Corpus.generate (Flex_dp.Rng.create ~seed:2 ()) 20_000)
+     @ kitchen_sink
+     @ [
+         "SELECT 1.5, 2.0, 1e300, 0.1 + 3, -0.0 FROM t WHERE x < 1e-7";
+         "SELECT CASE g WHEN 1 THEN 'a' WHEN 2 THEN 'b' END, COUNT(*) FROM t GROUP BY g";
+       ]
+     |> List.filter_map (fun sql -> Result.to_option (Parser.parse sql)))
+
+let same_text what q ~got ~want =
+  if got <> want then
+    Alcotest.failf "%s differs for %s:@.%s@.vs the previous printer's@.%s" what
+      (Fmt_pretty.to_string q) got want
+
+let printer_tests =
+  [
+    Alcotest.test_case "printing, core keys and cache keys match the previous printer" `Quick
+      (fun () ->
+        let qs = Lazy.force printer_corpus in
+        Alcotest.(check bool) "the corpus parses" true (List.length qs > 20_000);
+        List.iter
+          (fun q ->
+            same_text "to_string" q ~got:(Pretty.to_string q) ~want:(Fmt_pretty.to_string q);
+            same_text "cache_key" q ~got:(Flex_sql.Canon.cache_key q)
+              ~want:(Fmt_pretty.to_string (Flex_sql.Canon.canonicalize q));
+            Option.iter
+              (fun (f : Flex_sql.Factor.t) ->
+                same_text "core_sql" q ~got:f.core_sql ~want:(Fmt_pretty.to_string f.core))
+              (Flex_sql.Factor.factor q))
+          qs);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"generated queries print as before" ~count:500 arb_query (fun q ->
+           Pretty.to_string q = Fmt_pretty.to_string q));
+  ]
+
+let suites = suites @ [ ("pretty-oracle", printer_tests) ]
