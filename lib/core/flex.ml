@@ -8,6 +8,7 @@ module Value = Flex_engine.Value
 module Database = Flex_engine.Database
 module Metrics = Flex_engine.Metrics
 module Executor = Flex_engine.Executor
+module Row_table = Flex_engine.Row_table
 module Task_pool = Flex_engine.Task_pool
 module Span = Flex_obs.Span
 
@@ -396,17 +397,15 @@ let median_relative_error (r : release) =
          | Elastic.Group_key_col _ -> Some i
          | Elastic.Aggregate_col _ -> None)
   in
-  let true_by_key = Hashtbl.create 64 in
+  let key_of row = Array.of_list (List.map (fun i -> row.(i)) key_positions) in
+  let true_by_key = Row_table.create 64 in
   List.iter
-    (fun row ->
-      let key = List.map (fun i -> row.(i)) key_positions in
-      Hashtbl.replace true_by_key key row)
+    (fun row -> Row_table.replace true_by_key (key_of row) row)
     r.true_result.rows;
   let errors = ref [] in
   List.iter
     (fun noisy_row ->
-      let key = List.map (fun i -> noisy_row.(i)) key_positions in
-      match Hashtbl.find_opt true_by_key key with
+      match Row_table.find_opt true_by_key (key_of noisy_row) with
       | None ->
         (* an enumerated padding bin with true count 0: relative error is
            undefined there, and the paper's §5.2 metric is computed over the

@@ -210,5 +210,6 @@ val confidence_intervals :
 
 val median_relative_error : release -> float option
 (** Median percent error of the noisy result against the true result over
-    all aggregate cells (the §5.2 utility metric); enumerated bins compare
-    against a true count of 0. *)
+    all aggregate cells (the §5.2 utility metric). Rows are matched by their
+    group keys under the engines' key equality; enumerated padding bins,
+    which have no true row, are skipped. *)

@@ -2,6 +2,7 @@ module Value = Flex_engine.Value
 module Database = Flex_engine.Database
 module Table = Flex_engine.Table
 module Executor = Flex_engine.Executor
+module Row_table = Flex_engine.Row_table
 
 (* Histogram bin enumeration (paper §4): when every GROUP BY key is drawn
    from a public, finite domain, FLEX returns a row for *every* possible bin
@@ -33,24 +34,15 @@ let enumerable cat (a : Elastic.analysis) =
          | None -> false)
        keys
 
+(* A bin per key of the join's equality ([Row_table]): [1] and [1.0] are one
+   bin, labelled by the first occurrence. *)
 let distinct_column_values db (attr : Elastic.attr) =
   match Database.find_opt db attr.table with
-  | None -> None
-  | Some t -> (
-    match Table.column_index t attr.column with
-    | None -> None
-    | Some i ->
-      let seen = Hashtbl.create 64 in
-      let out = ref [] in
-      Array.iter
-        (fun row ->
-          let v = row.(i) in
-          if (not (Value.is_null v)) && not (Hashtbl.mem seen v) then begin
-            Hashtbl.replace seen v ();
-            out := v :: !out
-          end)
-        (Table.rows t);
-      Some (List.rev !out))
+  | Some t when Table.column_index t attr.column <> None ->
+    Table.column_values t attr.column |> Array.to_list
+    |> List.filter (fun v -> not (Value.is_null v))
+    |> Row_table.dedupe_values |> Option.some
+  | _ -> None
 
 (* Extend [result] with all missing bins, each with zero aggregates (noise is
    added afterwards by the mechanism, uniformly over all rows). Returns None
@@ -77,11 +69,11 @@ let enumerate cat db (a : Elastic.analysis) (result : Executor.result_set) :
       if total > max_bins then None
       else begin
         let ncols = List.length result.columns in
-        let existing = Hashtbl.create 256 in
+        let existing = Row_table.create 256 in
         List.iter
           (fun row ->
-            let key = List.map (fun (i, _) -> row.(i)) keys in
-            Hashtbl.replace existing key ())
+            let key = Array.of_list (List.map (fun (i, _) -> row.(i)) keys) in
+            Row_table.replace existing key ())
           result.rows;
         (* cartesian product of label domains, in domain order *)
         let rec combos = function
@@ -93,8 +85,7 @@ let enumerate cat db (a : Elastic.analysis) (result : Executor.result_set) :
         let missing =
           combos domains
           |> List.filter (fun combo ->
-               let key = List.map snd combo in
-               not (Hashtbl.mem existing key))
+               not (Row_table.mem existing (Array.of_list (List.map snd combo))))
           |> List.map (fun combo ->
                let row = Array.make ncols Value.Null in
                List.iter (fun (i, v) -> row.(i) <- v) combo;

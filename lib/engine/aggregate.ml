@@ -7,17 +7,6 @@ exception Error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
-let distinct_values values =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun v ->
-      if Hashtbl.mem seen v then false
-      else begin
-        Hashtbl.replace seen v ();
-        true
-      end)
-    values
-
 let non_null values = List.filter (fun v -> not (Value.is_null v)) values
 
 let floats_of name values =
@@ -56,24 +45,19 @@ let stddev_value values =
   end
 
 (* [compute func ~distinct ~star ~nrows values]: [values] are the evaluated
-   argument values over the group's rows (ignored when [star]). *)
+   argument values over the group's rows (ignored when [star]). DISTINCT
+   keeps each value's first occurrence under the engines' key equality, so
+   [COUNT(DISTINCT x)] counts the non-NULL groups of [GROUP BY x]. *)
 let compute (func : Ast.agg_func) ~distinct ~star ~nrows values =
+  let args () =
+    let vs = non_null values in
+    if distinct then Row_table.dedupe_values vs else vs
+  in
   match func with
-  | Ast.Count ->
-    if star then Value.Int nrows
-    else begin
-      let vs = non_null values in
-      let vs = if distinct then distinct_values vs else vs in
-      Value.Int (List.length vs)
-    end
-  | Ast.Sum -> (
-    let vs = non_null values in
-    let vs = if distinct then distinct_values vs else vs in
-    match vs with [] -> Value.Null | vs -> sum_value vs)
+  | Ast.Count -> if star then Value.Int nrows else Value.Int (List.length (args ()))
+  | Ast.Sum -> ( match args () with [] -> Value.Null | vs -> sum_value vs)
   | Ast.Avg -> (
-    let vs = non_null values in
-    let vs = if distinct then distinct_values vs else vs in
-    match vs with
+    match args () with
     | [] -> Value.Null
     | vs ->
       let fs = floats_of "AVG" vs in

@@ -9,10 +9,7 @@ val compute :
   Ast.agg_func -> distinct:bool -> star:bool -> nrows:int -> Value.t list -> Value.t
 (** [compute func ~distinct ~star ~nrows values]: [values] are the evaluated
     argument values over the group's rows ([nrows] of them); [star] marks
-    [COUNT( * )]. *)
-
-val distinct_values : Value.t list -> Value.t list
-val non_null : Value.t list -> Value.t list
+    [COUNT( * )]; [distinct] keeps the first of equal values ({!Row_table}). *)
 
 val compute_iter :
   Ast.agg_func ->

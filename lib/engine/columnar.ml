@@ -43,8 +43,6 @@ exception Fallback
 
 let fallback : unit -> 'a = fun () -> raise Fallback
 
-let two_53 = 9007199254740992
-
 (* --- recognition ----------------------------------------------------------- *)
 
 let no_subquery e = Ast.expr_subqueries e = []
@@ -633,8 +631,6 @@ let selection_of ctx t (s : step) : int array option =
 
 (* --- hash equijoin ---------------------------------------------------------- *)
 
-let small_int v = v > -two_53 && v < two_53
-
 module Str_table = Hashtbl.Make (String)
 
 (* Rows [0, n) by bucket, stably: bucket [b]'s rows are [items.(starts.(b))]
@@ -762,7 +758,7 @@ let key_buckets ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array opt
     | Chunk.Ints a ->
         fun i ->
           let p = pphys i in
-          if pnn p && small_int a.(p) then Some a.(p) else None
+          if pnn p && Value.small_int a.(p) then Some a.(p) else None
     | Chunk.Floats _ | Chunk.Boxed ->
         fun i ->
           let v = pfetch i in
@@ -799,7 +795,7 @@ let key_buckets ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array opt
       let lo = ref max_int and hi = ref min_int in
       for q = 0 to nk - 1 do
         let v = bkey.(q) in
-        if not (small_int v) then all_small := false;
+        if not (Value.small_int v) then all_small := false;
         if v < !lo then lo := v;
         if v > !hi then hi := v
       done;

@@ -12,10 +12,6 @@ type key =
   | K_string of string array * bool array option
   | K_val of Value.t array
 
-(* 2^53: beyond this magnitude [float_of_int] loses precision, so promoting
-   a mixed Int/Float key column to floats would reorder — keep it boxed. *)
-let two_53 = 9007199254740992
-
 let of_values (vs : Value.t array) : key =
   let n = Array.length vs in
   let has_null = ref false in
@@ -27,7 +23,9 @@ let of_values (vs : Value.t array) : key =
     | Value.Null -> has_null := true
     | Value.Int v ->
         any_int := true;
-        if not (v > -two_53 && v < two_53) then ints_small := false
+        (* past 2^53 [float_of_int] loses precision, so promoting a mixed
+           Int/Float key column to floats would reorder: keep it boxed *)
+        if not (Value.small_int v) then ints_small := false
     | Value.Float _ -> any_float := true
     | Value.String _ -> any_string := true
     | Value.Bool _ -> any_other := true

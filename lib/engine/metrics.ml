@@ -50,21 +50,24 @@ let clear_public t table = Hashtbl.remove t.publics (String.lowercase_ascii tabl
 let is_public t table = Hashtbl.mem t.publics (String.lowercase_ascii table)
 let public_tables t = Hashtbl.fold (fun k () acc -> k :: acc) t.publics [] |> List.sort compare
 
-(* Max frequency of a column's non-NULL values, by direct scan. This is the
-   oracle equivalent of the paper's
-     SELECT COUNT(a) FROM T GROUP BY a ORDER BY count DESC LIMIT 1. *)
+(* Max frequency of a column's non-NULL values, by direct scan: the paper's
+     SELECT COUNT(a) FROM T GROUP BY a ORDER BY count DESC LIMIT 1,
+   keyed like the engines' GROUP BY and joins ([Row_table]), so [1] and
+   [1.0] are one key here as in the join whose fan-out mf bounds. *)
 let compute_mf table column =
-  let counts = Hashtbl.create 256 in
-  let best = ref 0 in
-  Array.iter
-    (fun v ->
-      if not (Value.is_null v) then begin
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt counts v) in
-        Hashtbl.replace counts v n;
-        if n > !best then best := n
-      end)
-    (Table.column_values table column);
-  !best
+  let counts = Row_table.Scalar.create 256 in
+  Array.fold_left
+    (fun best v ->
+      if Value.is_null v then best
+      else
+        match Row_table.Scalar.find_opt counts v with
+        | Some c ->
+          incr c;
+          max best !c
+        | None ->
+          Row_table.Scalar.add counts v (ref 1);
+          max best 1)
+    0 (Table.column_values table column)
 
 (* Value range of a numeric column; None when the column has no numeric
    values (range metrics for string columns must come from a domain expert,

@@ -17,8 +17,9 @@ val recompute_table : t -> Database.t -> string -> unit
 (** {2 Max frequency} *)
 
 val compute_mf : Table.t -> string -> int
-(** Frequency of the most frequent non-NULL value — the oracle equivalent of
-    [SELECT COUNT(a) FROM T GROUP BY a ORDER BY count DESC LIMIT 1]. *)
+(** Frequency of the most frequent non-NULL value: the largest count of
+    [SELECT COUNT(a) FROM T GROUP BY a], under the key equality the engines'
+    GROUP BY and joins use ({!Row_table}; [1] and [1.0] are one key). *)
 
 val mf : t -> table:string -> column:string -> int option
 val set_mf : t -> table:string -> column:string -> int -> unit

@@ -382,18 +382,19 @@ and eval_select env (s : Ast.select) : rel =
         filtered
     else begin
       (* grouped path; an aggregate query without GROUP BY is a single group *)
-      let groups : (Value.t list, Value.t array list ref) Hashtbl.t = Hashtbl.create 64 in
+      let groups : Value.t array list ref Row_table.t = Row_table.create 64 in
       let order = ref [] in
       let key_of row =
-        List.map (fun e -> eval_expr env source.headers None row e) s.group_by
+        Array.of_list
+          (List.map (fun e -> eval_expr env source.headers None row e) s.group_by)
       in
       List.iter
         (fun row ->
           let key = key_of row in
-          match Hashtbl.find_opt groups key with
+          match Row_table.find_opt groups key with
           | Some cell -> cell := row :: !cell
           | None ->
-            Hashtbl.add groups key (ref [ row ]);
+            Row_table.add groups key (ref [ row ]);
             order := key :: !order)
         filtered;
       let keys_in_order = List.rev !order in
@@ -401,8 +402,8 @@ and eval_select env (s : Ast.select) : rel =
         (* no GROUP BY: one group over all rows, even when empty *)
         if s.group_by = [] then begin
           if keys_in_order = [] then begin
-            Hashtbl.add groups [] (ref []);
-            [ [] ]
+            Row_table.add groups [||] (ref []);
+            [ [||] ]
           end
           else keys_in_order
         end
@@ -410,7 +411,7 @@ and eval_select env (s : Ast.select) : rel =
       in
       List.filter_map
         (fun key ->
-          let rows_rev = !(Hashtbl.find groups key) in
+          let rows_rev = !(Row_table.find groups key) in
           let group_rows = List.rev rows_rev in
           let representative =
             match group_rows with
@@ -442,22 +443,7 @@ and eval_select env (s : Ast.select) : rel =
         keys_in_order
     end
   in
-  let rows =
-    if s.distinct then begin
-      let seen = Hashtbl.create 64 in
-      List.filter
-        (fun row ->
-          let key = Array.to_list row in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.replace seen key ();
-            true
-          end)
-        rows
-    end
-    else rows
-  in
-  { headers = out_headers; rows }
+  { headers = out_headers; rows = (if s.distinct then dedupe rows else rows) }
 
 (* --- set operations --------------------------------------------------------- *)
 
@@ -465,17 +451,36 @@ and check_arity op (l : rel) (r : rel) =
   if Array.length l.headers <> Array.length r.headers then
     error "%s operands have different column counts" op
 
+(* Rows are keyed by [Row_table], the engines' SQL equality ([1] = [1.0]):
+   first occurrences for DISTINCT/UNION, a multiset for EXCEPT/INTERSECT. *)
 and dedupe rows =
-  let seen = Hashtbl.create 64 in
+  let seen = Row_table.create 64 in
   List.filter
     (fun row ->
-      let key = Array.to_list row in
-      if Hashtbl.mem seen key then false
+      if Row_table.mem seen row then false
       else begin
-        Hashtbl.replace seen key ();
+        Row_table.replace seen row ();
         true
       end)
     rows
+
+and counts rows =
+  let tbl = Row_table.create 64 in
+  List.iter
+    (fun row ->
+      match Row_table.find_opt tbl row with
+      | Some c -> incr c
+      | None -> Row_table.replace tbl row (ref 1))
+    rows;
+  tbl
+
+(* Consume one copy of [row] from a multiset, if one is left. *)
+and take counts row =
+  match Row_table.find_opt counts row with
+  | Some c when !c > 0 ->
+    decr c;
+    true
+  | _ -> false
 
 and eval_body env (b : Ast.body) : rel =
   match b with
@@ -488,65 +493,21 @@ and eval_body env (b : Ast.body) : rel =
   | Ast.Except { all; left; right } ->
     let l = eval_body env left and r = eval_body env right in
     check_arity "EXCEPT" l r;
-    if all then begin
-      (* bag difference *)
-      let counts = Hashtbl.create 64 in
-      List.iter
-        (fun row ->
-          let k = Array.to_list row in
-          Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-        r.rows;
-      let rows =
-        List.filter
-          (fun row ->
-            let k = Array.to_list row in
-            match Hashtbl.find_opt counts k with
-            | Some n when n > 0 ->
-              Hashtbl.replace counts k (n - 1);
-              false
-            | _ -> true)
-          l.rows
-      in
-      { headers = l.headers; rows }
-    end
-    else begin
-      let right_set = Hashtbl.create 64 in
-      List.iter (fun row -> Hashtbl.replace right_set (Array.to_list row) ()) r.rows;
-      let rows =
-        dedupe l.rows
-        |> List.filter (fun row -> not (Hashtbl.mem right_set (Array.to_list row)))
-      in
-      { headers = l.headers; rows }
-    end
+    let right = counts r.rows in
+    let rows =
+      if all then List.filter (fun row -> not (take right row)) l.rows
+      else dedupe l.rows |> List.filter (fun row -> not (Row_table.mem right row))
+    in
+    { headers = l.headers; rows }
   | Ast.Intersect { all; left; right } ->
     let l = eval_body env left and r = eval_body env right in
     check_arity "INTERSECT" l r;
-    let counts = Hashtbl.create 64 in
-    List.iter
-      (fun row ->
-        let k = Array.to_list row in
-        Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-      r.rows;
-    if all then begin
-      let rows =
-        List.filter
-          (fun row ->
-            let k = Array.to_list row in
-            match Hashtbl.find_opt counts k with
-            | Some n when n > 0 ->
-              Hashtbl.replace counts k (n - 1);
-              true
-            | _ -> false)
-          l.rows
-      in
-      { headers = l.headers; rows }
-    end
-    else begin
-      let rows =
-        dedupe l.rows |> List.filter (fun row -> Hashtbl.mem counts (Array.to_list row))
-      in
-      { headers = l.headers; rows }
-    end
+    let right = counts r.rows in
+    let rows =
+      if all then List.filter (take right) l.rows
+      else dedupe l.rows |> List.filter (Row_table.mem right)
+    in
+    { headers = l.headers; rows }
 
 (* --- full queries ------------------------------------------------------------ *)
 

@@ -1,8 +1,9 @@
 (* Hashtable keyed by [Value.t array] rows/keys, via a hash/equal pair that
    agrees with {!Value.equal} (so [Int 2] and [Float 2.] collide and compare
-   equal, matching SQL [=]). Shared by hash-join build sides, GROUP BY,
-   DISTINCT, and the set operations, replacing polymorphic hashing of
-   freshly-allocated [Value.t list] keys. *)
+   equal, matching SQL [=]). The one key equality of the engines and the
+   mechanism: hash-join build sides, GROUP BY, DISTINCT, the set operations,
+   DISTINCT aggregates, max frequencies and histogram bins all key through
+   it, in the oracle as in the row and columnar engines. *)
 
 module Key = struct
   type t = Value.t array
@@ -42,21 +43,19 @@ module Int_key = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let two_53 = 9007199254740992 (* 2^53: ints exactly representable as floats *)
-
 let small_int_key (v : Value.t) =
-  match v with Value.Int i -> i > -two_53 && i < two_53 | _ -> false
+  match v with Value.Int i -> Value.small_int i | _ -> false
 
 (* The int a value indexes under in an all-small-int table, if any. A float
-   equal (under SQL [=]) to a small int maps to that int; anything else can
+   equal (under SQL [=]) to a small int maps to that int: it is one exactly
+   when it converts to a small int and back unchanged. Anything else can
    never match a small-int key. *)
 let int_key_of (v : Value.t) =
   match v with
-  | Value.Int i -> if i > -two_53 && i < two_53 then Some i else None
+  | Value.Int i -> if Value.small_int i then Some i else None
   | Value.Float f ->
-    if Float.is_integer f && Float.abs f < float_of_int two_53 then
-      Some (int_of_float f)
-    else None
+    let i = Float.to_int f in
+    if Value.small_int i && Float.of_int i = f then Some i else None
   | _ -> None
 
 (* First-occurrence dedupe over a row vector; the single helper behind
@@ -71,6 +70,19 @@ let dedupe_rows (rows : Value.t array Row_vec.t) : Value.t array Row_vec.t =
         true
       end)
     rows
+
+(* First-occurrence dedupe over single values; the helper behind DISTINCT
+   aggregates and a histogram's bin domains. *)
+let dedupe_values (vs : Value.t list) : Value.t list =
+  let seen = Scalar.create 16 in
+  List.filter
+    (fun v ->
+      if Scalar.mem seen v then false
+      else begin
+        Scalar.replace seen v ();
+        true
+      end)
+    vs
 
 (* Multiset of rows as a count table; used by EXCEPT/INTERSECT. *)
 let counts_of (rows : Value.t array Row_vec.t) : int ref t =

@@ -1,6 +1,7 @@
 (** Hashtable keyed by [Value.t array] with SQL-consistent hash/equal
-    ([Int 2] = [Float 2.]); shared by joins, GROUP BY, DISTINCT and set
-    operations. *)
+    ([Int 2] = [Float 2.]): the one key equality, shared by joins, GROUP BY,
+    DISTINCT, set operations, DISTINCT aggregates, max frequencies
+    ({!Metrics.compute_mf}) and histogram bins, in every engine. *)
 
 module Key : sig
   type t = Value.t array
@@ -18,7 +19,7 @@ module Int_key : Hashtbl.S with type key = int
 (** Unboxed variant for key columns proven all-small-int. *)
 
 val small_int_key : Value.t -> bool
-(** [Int i] with [|i| < 2^53] (exactly representable as a float). *)
+(** [Int i] with {!Value.small_int}[ i]. *)
 
 val int_key_of : Value.t -> int option
 (** The int a value indexes under in an all-small-int table: small ints
@@ -26,6 +27,9 @@ val int_key_of : Value.t -> int option
 
 val dedupe_rows : Value.t array Row_vec.t -> Value.t array Row_vec.t
 (** Keep the first occurrence of each distinct row, preserving order. *)
+
+val dedupe_values : Value.t list -> Value.t list
+(** Keep the first occurrence of each distinct value, preserving order. *)
 
 val counts_of : Value.t array Row_vec.t -> int ref t
 (** Multiset view of a row vector (row -> multiplicity). *)

@@ -60,15 +60,21 @@ let to_csv_string = function
   | Float f -> Fmt.str "%.12g" f
   | String s -> s
 
-(* Must collide where [equal] holds across Int/Float. Numbers of magnitude
-   below 2^53 (every int exactly representable as a float) hash through the
-   integer, allocation-free; the rare larger ones canonicalise through a
-   float like the old scheme. *)
+(* The ints strictly inside +-2^53: each converts to a float that no other
+   int converts to, so an [Int] there equals a [Float] iff they are the same
+   number. Past 2^53, [equal] is not transitive: [Int 2^53 = Float 2^53 =
+   Int (2^53 + 1)], yet the two ints differ. Two comparisons, not
+   [abs i < two_53]: [abs min_int] is negative. *)
 let two_53 = 9007199254740992 (* 2^53 *)
 
+let small_int i = i > -two_53 && i < two_53
+
+(* Must collide where [equal] holds across Int/Float. Small numbers hash
+   through the integer, allocation-free; the rare larger ones canonicalise
+   through a float. *)
 let hash v =
   match v with
-  | Int i when abs i < two_53 -> Hashtbl.hash i
+  | Int i when small_int i -> Hashtbl.hash i
   | Float f when Float.is_integer f && Float.abs f < float_of_int two_53 ->
     Hashtbl.hash (int_of_float f)
   | Int i -> Hashtbl.hash (Float (float_of_int i))

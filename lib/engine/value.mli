@@ -25,5 +25,14 @@ val to_string : t -> string
 val to_csv_string : t -> string
 (** Literal-style rendering: strings unquoted, NULL empty. *)
 
+val small_int : int -> bool
+(** [-2^53 < i < 2^53]: the ints whose float no other int shares, so an
+    [Int] there and a [Float] are {!equal} iff they are the same number,
+    and {!hash} hashes both through the int. Past it {!equal} is not
+    transitive: [Int 2^53 = Float 2^53 = Int (2^53 + 1)], yet the two ints
+    differ. *)
+
 val hash : t -> int
-(** Consistent with {!equal} (Int/Float coercion included). *)
+(** Consistent with {!equal} (Int/Float coercion included): the key
+    equality of every join, grouping, DISTINCT, set operation, DISTINCT
+    aggregate, max frequency and histogram bin, through {!Row_table}. *)

@@ -1319,3 +1319,184 @@ let aggregate_tests =
   ]
 
 let suites = suites @ [ ("row-vec", row_vec_tests); ("aggregate-compute", aggregate_tests) ]
+
+(* --- key equality: Row_table alone decides whether two values are one key -- *)
+
+module Tpch = Flex_workload.Tpch
+module Flex = Flex_core.Flex
+
+(* Values that two equalities could tell apart: one number in two spellings,
+   NaNs of either sign, both zeros, look-alikes of other types, NULL, and the
+   bottom int beside the float equal to it. *)
+let trap_values =
+  [
+    v_int 1; v_float 1.0; v_float Float.nan; v_float (Float.neg Float.nan); v_float (-0.0);
+    v_float 0.0; v_int 0; v_str "1"; Value.Bool true; Value.Null; v_int min_int;
+    v_float (-0x1p62);
+  ]
+
+(* [t.x] holds the traps, [t.n] their numeric ones; [u.y] holds the same SQL
+   values in reverse order, so its first spellings differ from [t]'s. *)
+let trap_fixture () =
+  let numeric v = match v with Value.Int _ | Value.Float _ -> v | _ -> Value.Null in
+  Database.of_tables
+    [
+      Table.create ~name:"t" ~columns:[ "id"; "x"; "n" ]
+        (List.mapi (fun i v -> [| v_int i; v; numeric v |]) trap_values);
+      Table.create ~name:"u" ~columns:[ "id"; "y" ]
+        (List.mapi (fun i v -> [| v_int i; v |]) (List.rev trap_values));
+    ]
+
+let trap_queries =
+  [
+    "SELECT x, COUNT(*) FROM t GROUP BY x";
+    "SELECT DISTINCT x FROM t";
+    "SELECT COUNT(DISTINCT x) FROM t";
+    "SELECT COUNT(DISTINCT n), SUM(DISTINCT n), AVG(DISTINCT n) FROM t";
+    "SELECT SUM(DISTINCT n), AVG(DISTINCT n) FROM t WHERE id < 2 OR id > 3";
+    "SELECT x FROM t UNION SELECT y FROM u";
+    "SELECT x FROM t WHERE id < 7 EXCEPT SELECT y FROM u WHERE id < 6";
+    "SELECT x FROM t EXCEPT ALL SELECT y FROM u WHERE id < 8";
+    "SELECT x FROM t INTERSECT SELECT y FROM u WHERE id >= 6";
+    "SELECT x FROM t INTERSECT ALL SELECT y FROM u WHERE id >= 7";
+    "SELECT COUNT(*) FROM t a JOIN t b ON a.x = b.x";
+    "SELECT COUNT(*) FROM t JOIN u ON t.x = u.y";
+    "SELECT t.x, COUNT(*) FROM t JOIN u ON t.x = u.y GROUP BY t.x";
+  ]
+
+(* The largest count of [SELECT COUNT(c) FROM table GROUP BY c], as the
+   engine runs it. *)
+let engine_mf db table column =
+  let sql = Fmt.str "SELECT COUNT(%s) FROM %s GROUP BY %s" column table column in
+  List.fold_left
+    (fun acc row -> max acc (Option.value ~default:0 (Value.to_int row.(0))))
+    0 (Executor.run_sql_exn db sql).rows
+
+let check_mf_is_group_by db =
+  List.iter
+    (fun name ->
+      let table = Database.find db name in
+      Array.iter
+        (fun c ->
+          Alcotest.(check int) (Fmt.str "mf(%s.%s)" name c) (engine_mf db name c)
+            (Metrics.compute_mf table c))
+        (Table.columns table))
+    (Database.table_names db)
+
+(* Pairs that [Value.equal] often holds across: the second value is mostly
+   another spelling of the first. *)
+let arb_value_pair =
+  let open QCheck.Gen in
+  let p53 = 1 lsl 53 in
+  let num =
+    oneof
+      [
+        oneofl [ min_int; min_int + 1; max_int; max_int - 1 ];
+        map2 ( + ) (oneofl [ p53; -p53 ]) (int_range (-1) 1);
+        small_signed_int;
+      ]
+  in
+  let value =
+    frequency
+      [
+        (4, map v_int num);
+        (4, map (fun i -> v_float (float_of_int i)) num);
+        (1, oneofl [ v_float (-0.0); v_float Float.nan; v_float (Float.neg Float.nan); v_float 0.5 ]);
+        (1, oneofl [ v_str "1"; v_str ""; Value.Bool true; Value.Bool false; Value.Null ]);
+      ]
+  in
+  let respell v =
+    match v with
+    | Value.Int i -> return (v_float (float_of_int i))
+    | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      oneofl [ v_int (int_of_float f); v_float f ]
+    | Value.Float f when Float.is_nan f -> oneofl [ v_float Float.nan; v_float (Float.neg f) ]
+    | v -> return v
+  in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let show = function Value.Float f -> Fmt.str "Float %h" f | v -> Value.to_string v in
+      Fmt.str "(%s, %s)" (show a) (show b))
+    (value >>= fun a -> frequency [ (3, respell a); (1, value) ] >|= fun b -> (a, b))
+
+let key_equality_tests =
+  let db = lazy (trap_fixture ()) in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Value.equal a b implies Value.hash a = Value.hash b" ~count:2000
+         arb_value_pair (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b));
+    Alcotest.test_case "the trap column agrees 3-way" `Quick (fun () ->
+        List.iter (check_columnar_3way (Lazy.force db)) trap_queries);
+    Alcotest.test_case "every engine merges the spellings of a key" `Quick (fun () ->
+        let db = Lazy.force db in
+        let rows sql = List.length (Executor.run_sql_exn db sql).rows in
+        let count sql =
+          match (Executor.run_sql_exn db sql).rows with
+          | [ [| Value.Int n |] ] -> n
+          | _ -> Alcotest.failf "expected one count: %s" sql
+        in
+        List.iter
+          (fun on ->
+            with_columnar on (fun () ->
+                (* {1, 1.0}, {NaN, -NaN}, {-0.0, 0.0, 0}, '1', true, NULL, {min_int, -2^62} *)
+                Alcotest.(check int) "groups" 7 (rows "SELECT x, COUNT(*) FROM t GROUP BY x");
+                Alcotest.(check int) "DISTINCT" 7 (rows "SELECT DISTINCT x FROM t");
+                Alcotest.(check int) "COUNT(DISTINCT)" 6 (count "SELECT COUNT(DISTINCT x) FROM t");
+                Alcotest.(check int) "self-join" 23
+                  (count "SELECT COUNT(*) FROM t a JOIN t b ON a.x = b.x");
+                Alcotest.(check int) "join" 23 (count "SELECT COUNT(*) FROM t JOIN u ON t.x = u.y")))
+          [ false; true ]);
+    Alcotest.test_case "COUNT(DISTINCT) and SUM(DISTINCT) read SELECT DISTINCT" `Quick
+      (fun () ->
+        let db = Lazy.force db in
+        let same name a b =
+          List.iter
+            (fun on ->
+              with_columnar on (fun () ->
+                  check_row_columnar_agree name (Executor.run_sql db a) (Executor.run_sql db b)))
+            [ false; true ];
+          check_row_columnar_agree name
+            (Result.map (fun r -> { Executor.columns = r.Reference.columns; rows = r.rows })
+               (Reference.run_sql db a))
+            (Executor.run_sql db b)
+        in
+        List.iter
+          (fun (c, where) ->
+            same (c ^ where)
+              (Fmt.str "SELECT COUNT(DISTINCT %s) AS v FROM t%s" c where)
+              (Fmt.str "SELECT COUNT(%s) AS v FROM (SELECT DISTINCT %s FROM t%s) s" c c where))
+          [ ("x", ""); ("n", ""); ("n", " WHERE id < 2 OR id > 3") ];
+        same "SUM DISTINCT"
+          "SELECT SUM(DISTINCT n) AS v FROM t WHERE id < 2 OR id > 3"
+          "SELECT SUM(n) AS v FROM (SELECT DISTINCT n FROM t WHERE id < 2 OR id > 3) s");
+    Alcotest.test_case "mf is the engine's GROUP BY count: the trap column" `Quick (fun () ->
+        let db = Lazy.force db in
+        Alcotest.(check int) "mf(t.x)" 3 (Metrics.compute_mf (Database.find db "t") "x");
+        check_mf_is_group_by db);
+    Alcotest.test_case "mf is the engine's GROUP BY count: Uber and TPC-H" `Quick (fun () ->
+        check_mf_is_group_by (fst (Uber.generate ~sizes:Uber.small_sizes (Rng.create ~seed:7 ())));
+        check_mf_is_group_by (fst (Tpch.generate ~scale:0.002 (Rng.create ~seed:3 ()))));
+    Alcotest.test_case "a public histogram pads one bin per key" `Quick (fun () ->
+        let keys name vs = Table.create ~name ~columns:[ "k" ] (List.map (fun v -> [| v |]) vs) in
+        let db =
+          Database.of_tables
+            [
+              keys "t" [ v_int 1; v_int 1; v_int 2 ];
+              keys "p" [ v_int 1; v_float 1.0; v_int 2; v_int 3 ];
+            ]
+        in
+        let metrics = Metrics.compute db in
+        Metrics.set_public metrics "p";
+        let options = Flex.options ~epsilon:1.0 ~delta:1e-6 () in
+        match
+          Flex.run_sql ~rng:(Rng.create ~seed:1 ()) ~options ~db ~metrics
+            "SELECT p.k, COUNT(*) FROM t JOIN p ON t.k = p.k GROUP BY p.k"
+        with
+        | Error r -> Alcotest.failf "rejected: %s" (Flex_core.Errors.to_string r)
+        | Ok release ->
+          Alcotest.(check bool) "bins enumerated" true release.bins_enumerated;
+          Alcotest.(check (list string)) "one bin per key" [ "1"; "2"; "3" ]
+            (List.map (fun row -> Value.to_string row.(0)) release.noisy.rows));
+  ]
+
+let suites = suites @ [ ("key-equality", key_equality_tests) ]

@@ -13,14 +13,18 @@ module Errors = Flex_core.Errors
    exhaustive) and metrics are computed from the true database, exactly as
    FLEX would. *)
 
-(* Domains: table a(k, v) and b(k, w); keys in 1..3, payloads in 1..2. *)
-let key_domain = [ 1; 2; 3 ]
+(* Domains: table a(k, v) and b(k, w); keys in 1..3, payloads in 1..2. The
+   spelled domain writes keys 1 and 2 both as ints and as floats, which SQL
+   [=] (and so every join) treats as one key. *)
+let key_domain = [ Value.Int 1; Value.Int 2; Value.Int 3 ]
+
+let spelled_key_domain =
+  [ Value.Int 1; Value.Float 1.0; Value.Int 2; Value.Float 2.0; Value.Int 3 ]
+
 let payload_domain = [ 1; 2 ]
 
-let all_tuples =
-  List.concat_map
-    (fun k -> List.map (fun v -> [| Value.Int k; Value.Int v |]) payload_domain)
-    key_domain
+let tuples_of keys =
+  List.concat_map (fun k -> List.map (fun v -> [| k; Value.Int v |]) payload_domain) keys
 
 let db_of (a_rows, b_rows) =
   Database.of_tables
@@ -31,13 +35,12 @@ let db_of (a_rows, b_rows) =
 
 (* All databases at distance exactly <= 1 from db (replace one row of one
    table by any domain tuple). *)
-let neighbors (a_rows, b_rows) =
+let neighbors ?(keys = key_domain) (a_rows, b_rows) =
+  let tuples = tuples_of keys in
   let replace rows i r = List.mapi (fun j row -> if j = i then r else row) rows in
   let of_table rows rebuild =
     List.concat
-      (List.mapi
-         (fun i _ -> List.map (fun r -> rebuild (replace rows i r)) all_tuples)
-         rows)
+      (List.mapi (fun i _ -> List.map (fun r -> rebuild (replace rows i r)) tuples) rows)
   in
   of_table a_rows (fun a -> (a, b_rows)) @ of_table b_rows (fun b -> (a_rows, b))
 
@@ -62,18 +65,18 @@ let histogram_vector db sql key_values =
         | None -> 0)
       key_values
 
-let local_sensitivity rows sql =
+let local_sensitivity ?keys rows sql =
   let x = count (db_of rows) sql in
   List.fold_left
     (fun acc rows' -> max acc (abs (count (db_of rows') sql - x)))
-    0 (neighbors rows)
+    0 (neighbors ?keys rows)
 
 (* A^(k) at distance 1: max local sensitivity over all neighbours. *)
-let local_sensitivity_at_1 rows sql =
+let local_sensitivity_at_1 ?keys rows sql =
   List.fold_left
-    (fun acc rows' -> max acc (local_sensitivity rows' sql))
-    (local_sensitivity rows sql)
-    (neighbors rows)
+    (fun acc rows' -> max acc (local_sensitivity ?keys rows' sql))
+    (local_sensitivity ?keys rows sql)
+    (neighbors ?keys rows)
 
 let elastic_at rows sql k =
   let db = db_of rows in
@@ -88,24 +91,24 @@ let elastic_at rows sql k =
 
 (* --- generators ----------------------------------------------------------------- *)
 
-let rows_gen n =
+let rows_gen ?(keys = key_domain) n =
   QCheck.Gen.(
     list_size (int_range 1 n)
-      (map2
-         (fun k v -> [| Value.Int k; Value.Int v |])
-         (oneofl key_domain) (oneofl payload_domain)))
+      (map2 (fun k v -> [| k; Value.Int v |]) (oneofl keys) (oneofl payload_domain)))
 
-let arb_dbs =
+(* Keys print with their spelling: [1] and [1.0] differ in a counterexample. *)
+let arb_dbs_of ?keys n =
   QCheck.make
     ~print:(fun (a, b) ->
+      let show_key = function Value.Float f -> Fmt.str "%.1f" f | v -> Value.to_string v in
       let show rows =
         String.concat ";"
-          (List.map
-             (fun r -> Fmt.str "(%s,%s)" (Value.to_string r.(0)) (Value.to_string r.(1)))
-             rows)
+          (List.map (fun r -> Fmt.str "(%s,%s)" (show_key r.(0)) (Value.to_string r.(1))) rows)
       in
       Fmt.str "a=[%s] b=[%s]" (show a) (show b))
-    QCheck.Gen.(pair (rows_gen 4) (rows_gen 4))
+    QCheck.Gen.(pair (rows_gen ?keys n) (rows_gen ?keys n))
+
+let arb_dbs = arb_dbs_of 4
 
 let queries =
   [
@@ -120,28 +123,56 @@ let queries =
     "SELECT COUNT(*) FROM (SELECT k FROM a WHERE v = 2) s JOIN b ON s.k = b.k";
   ]
 
-let soundness_test sql =
+(* [~spelled] draws keys from [spelled_key_domain] instead of [key_domain]. *)
+let domain ~spelled =
+  if spelled then (spelled_key_domain, " (keys in two spellings)") else (key_domain, "")
+
+let soundness_test ?(spelled = false) sql =
+  let keys, label = domain ~spelled in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:(Fmt.str "ES(0) >= LS: %s" sql)
-       ~count:25 arb_dbs
+       ~name:(Fmt.str "ES(0) >= LS%s: %s" label sql)
+       ~count:25 (arb_dbs_of ~keys 4)
        (fun rows ->
-         let ls = local_sensitivity rows sql in
+         let ls = local_sensitivity ~keys rows sql in
          let es = elastic_at rows sql 0 in
          if float_of_int ls <= es +. 1e-9 then true
          else QCheck.Test.fail_reportf "LS=%d > ES(0)=%g" ls es))
 
-let soundness_at_1_test sql =
+let soundness_at_1_test ?(spelled = false) sql =
+  let keys, label = domain ~spelled in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:(Fmt.str "ES(1) >= A^(1): %s" sql)
-       ~count:6
-       (QCheck.make QCheck.Gen.(pair (rows_gen 3) (rows_gen 3)))
+       ~name:(Fmt.str "ES(1) >= A^(1)%s: %s" label sql)
+       ~count:6 (arb_dbs_of ~keys 3)
        (fun rows ->
-         let a1 = local_sensitivity_at_1 rows sql in
+         let a1 = local_sensitivity_at_1 ~keys rows sql in
          let es = elastic_at rows sql 1 in
          if float_of_int a1 <= es +. 1e-9 then true
          else QCheck.Test.fail_reportf "A1=%d > ES(1)=%g" a1 es))
+
+(* Theorem 1 over keys with two spellings: mf must count [1] and [1.0] as the
+   one key the join matches them as, or ES(0) undercounts the join's fan-out. *)
+let join_queries =
+  [
+    "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k";
+    "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k WHERE a.v = 1 AND b.w = 2";
+    "SELECT COUNT(*) FROM a x JOIN a y ON x.k = y.k";
+    "SELECT COUNT(*) FROM a x JOIN a y ON x.k = y.k JOIN b ON y.k = b.k";
+  ]
+
+let spelled_key_tests =
+  List.map (soundness_test ~spelled:true) join_queries
+  @ [
+      soundness_at_1_test ~spelled:true "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k";
+      Alcotest.test_case "b's key 1 in two spellings is one key of fan-out 2" `Quick (fun () ->
+          let sql = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k" in
+          let one = Value.Int 1 in
+          let rows = ([ [| one; one |] ], [ [| one; one |]; [| Value.Float 1.0; one |] ]) in
+          let ls = local_sensitivity ~keys:spelled_key_domain rows sql in
+          Alcotest.(check int) "LS" 2 ls;
+          Alcotest.(check (float 1e-9)) "ES(0)" 2.0 (elastic_at rows sql 0));
+    ]
 
 let histogram_soundness =
   QCheck_alcotest.to_alcotest
@@ -179,7 +210,8 @@ let suites =
           soundness_at_1_test "SELECT COUNT(*) FROM a x JOIN a y ON x.k = y.k";
           histogram_soundness;
           monotonicity;
-        ] );
+        ]
+      @ spelled_key_tests );
   ]
 
 (* --- beta-smoothness across neighbours (appended) ----------------------------
